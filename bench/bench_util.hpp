@@ -91,45 +91,84 @@ inline bool write_bench_json(const std::string& path,
   return true;
 }
 
-/// Parse (name, real_time_ns) pairs back out of a file written by
-/// write_bench_json. Tolerates missing files (returns empty).
-inline std::vector<std::pair<std::string, double>> read_bench_json(
-    const std::string& path) {
-  std::vector<std::pair<std::string, double>> out;
+/// Parse records back out of a file written by write_bench_json: the
+/// name, real_time_ns, and every other numeric field as a counter.
+/// Tolerates missing files (returns empty).
+inline std::vector<BenchRecord> read_bench_json(const std::string& path) {
+  std::vector<BenchRecord> out;
   std::ifstream in(path);
   std::string line;
   while (std::getline(in, line)) {
     const auto name_key = line.find("\"name\": \"");
-    const auto time_key = line.find("\"real_time_ns\": ");
-    if (name_key == std::string::npos || time_key == std::string::npos) {
-      continue;
-    }
+    if (name_key == std::string::npos) continue;
     const auto name_begin = name_key + 9;
     const auto name_end = line.find('"', name_begin);
     if (name_end == std::string::npos) continue;
-    out.emplace_back(line.substr(name_begin, name_end - name_begin),
-                     std::strtod(line.c_str() + time_key + 16, nullptr));
+    BenchRecord rec;
+    rec.name = line.substr(name_begin, name_end - name_begin);
+    // Every later field is `"key": number`.
+    for (auto key_begin = line.find('"', name_end + 1);
+         key_begin != std::string::npos;
+         key_begin = line.find('"', key_begin + 1)) {
+      const auto key_end = line.find("\": ", key_begin + 1);
+      if (key_end == std::string::npos) break;
+      const std::string key =
+          line.substr(key_begin + 1, key_end - key_begin - 1);
+      const double value = std::strtod(line.c_str() + key_end + 3, nullptr);
+      if (key == "real_time_ns") {
+        rec.real_time_ns = value;
+      } else {
+        rec.counters.emplace_back(key, value);
+      }
+      key_begin = key_end + 2;
+    }
+    out.push_back(std::move(rec));
   }
   return out;
 }
 
-/// Count benchmarks slower than `factor` times their baseline entry
-/// (names present only on one side are ignored); prints one line per
-/// regression so CI logs show the offender.
-inline int count_regressions(
-    const std::vector<BenchRecord>& current,
-    const std::vector<std::pair<std::string, double>>& baseline,
-    double factor) {
+/// Count benchmarks slower than `factor` times their baseline entry,
+/// plus every `exact` counter whose value differs from the baseline's
+/// (deterministic counts such as reallocation passes: any change is a
+/// behaviour change and needs a re-baseline). Names present only on one
+/// side are ignored, as are exact counters the baseline entry lacks.
+/// Prints one line per offence so CI logs show it.
+inline int count_regressions(const std::vector<BenchRecord>& current,
+                             const std::vector<BenchRecord>& baseline,
+                             double factor,
+                             const std::vector<std::string>& exact = {}) {
+  auto find = [](const BenchRecord& r,
+                 const std::string& key) -> const double* {
+    for (const auto& [k, v] : r.counters) {
+      if (k == key) return &v;
+    }
+    return nullptr;
+  };
   int regressions = 0;
   for (const BenchRecord& r : current) {
-    for (const auto& [name, base_ns] : baseline) {
-      if (name != r.name || base_ns <= 0.0) continue;
-      if (r.real_time_ns > factor * base_ns) {
+    for (const BenchRecord& base : baseline) {
+      if (base.name != r.name) continue;
+      if (base.real_time_ns > 0.0 &&
+          r.real_time_ns > factor * base.real_time_ns) {
         std::fprintf(stderr,
                      "REGRESSION %s: %.0f ns/iter vs baseline %.0f "
                      "(>%.1fx)\n",
-                     r.name.c_str(), r.real_time_ns, base_ns, factor);
+                     r.name.c_str(), r.real_time_ns, base.real_time_ns,
+                     factor);
         ++regressions;
+      }
+      for (const std::string& key : exact) {
+        const double* want = find(base, key);
+        if (want == nullptr) continue;
+        const double* got = find(r, key);
+        if (got == nullptr || *got != *want) {
+          std::fprintf(stderr,
+                       "MISMATCH %s %s: %.0f vs baseline %.0f (gated "
+                       "for exact equality)\n",
+                       r.name.c_str(), key.c_str(),
+                       got == nullptr ? -1.0 : *got, *want);
+          ++regressions;
+        }
       }
       break;
     }

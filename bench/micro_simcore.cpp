@@ -5,12 +5,15 @@
 //
 // Beyond the console table, the binary emits a machine-readable summary
 // (--json_out=BENCH_simcore.json) and can gate on a checked-in baseline
-// (--baseline=..., exit 1 when any benchmark runs >2x slower); CI runs
-// it as a smoke job on every push. See EXPERIMENTS.md.
+// (--baseline=..., exit 1 when any benchmark runs >2x slower or a
+// deterministic reallocs / flows_touched / fill_rounds counter differs
+// from its baseline value); CI runs it as a smoke job on every push.
+// See EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -139,6 +142,74 @@ void BM_FlowReallocationMultiComponent(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowReallocationMultiComponent)->Arg(8);
 
+// REPL-3-style write pipelines beside shuffle reads over seek-contended
+// disks: every node writes blocks to its own disk and to two remote
+// replicas (disk writes at a 1.4 work penalty) while reducers pull from
+// a neighbour's disk. Disks carrying different stream counts saturate
+// at different shares, so a pass needs many fill rounds; the flow
+// benches above all end after one. fill_rounds / reallocs is the mean
+// rounds per pass.
+void BM_FlowReallocationMultiBottleneck(benchmark::State& state) {
+  const int nodes = static_cast<int>(state.range(0));
+  constexpr int kBlocksPerNode = 2;
+  constexpr double kWritePenalty = 1.4;
+  for (auto _ : state) {
+    sim::Simulation sim;
+    res::FlowNetwork net(sim);
+    std::vector<res::LinkId> disk, up, down;
+    for (int n = 0; n < nodes; ++n) {
+      disk.push_back(net.add_link({"disk", 130e6, 0.7, 3.0}));
+      up.push_back(net.add_link({"up", 1.25e9}));
+      down.push_back(net.add_link({"down", 1.25e9}));
+    }
+    const auto fabric = net.add_link({"fabric", 1.25e9 * nodes / 4.0});
+    int done = 0;
+    auto start = [&](std::vector<res::LinkId> path,
+                     std::vector<double> weights, int size_class) {
+      res::FlowSpec fs;
+      fs.path = std::move(path);
+      fs.weights = std::move(weights);
+      fs.bytes = 64'000'000ull * static_cast<std::uint64_t>(1 + size_class);
+      fs.on_complete = [&done] { ++done; };
+      net.start_flow(std::move(fs));
+    };
+    auto remote = [&](int src, int dst, bool read_src) {
+      std::vector<res::LinkId> path;
+      std::vector<double> weights;
+      if (read_src) {
+        path.push_back(disk[src]);
+        weights.push_back(1.0);
+      }
+      for (const res::LinkId l : {up[src], fabric, down[dst]}) {
+        path.push_back(l);
+        weights.push_back(1.0);
+      }
+      path.push_back(disk[dst]);
+      weights.push_back(kWritePenalty);
+      return std::make_pair(std::move(path), std::move(weights));
+    };
+    for (int s = 0; s < nodes; ++s) {
+      for (int b = 0; b < kBlocksPerNode; ++b) {
+        const int size_class = (s * 7 + b * 3) % 5;
+        start({disk[s]}, {kWritePenalty}, size_class);  // local replica
+        for (const int hop : {1 + b, nodes / 2 + b}) {
+          auto [path, weights] = remote(s, (s + hop) % nodes, false);
+          start(std::move(path), std::move(weights), size_class);
+        }
+      }
+      auto [path, weights] = remote((s + 3) % nodes, s, true);  // shuffle
+      start(std::move(path), std::move(weights), s % 3);
+    }
+    sim.run();
+    benchmark::DoNotOptimize(done);
+    state.counters["reallocs"] = static_cast<double>(net.reallocations());
+    state.counters["flows_touched"] =
+        static_cast<double>(net.flows_reallocated());
+    state.counters["fill_rounds"] = static_cast<double>(net.fill_rounds());
+  }
+}
+BENCHMARK(BM_FlowReallocationMultiBottleneck)->Arg(16);
+
 // The tracer's emit() is inlined into every hot emission site in the
 // engine and middleware; when tracing is off it must cost one branch.
 // Arg(0) = disabled, Arg(1) = enabled with a warm ring (steady-state
@@ -245,8 +316,10 @@ int main(int argc, char** argv) {
                    baseline.c_str());
       return 1;
     }
-    if (rcmp::bench::count_regressions(reporter.records(), base, 2.0) >
-        0) {
+    // Pass and flow-visit counts are deterministic: gate them exactly.
+    if (rcmp::bench::count_regressions(
+            reporter.records(), base, 2.0,
+            {"reallocs", "flows_touched", "fill_rounds"}) > 0) {
       return 1;
     }
   }

@@ -1056,60 +1056,90 @@ void JobRun::mark_contrib_ready(std::uint32_t r, std::uint32_t m) {
   rt.contrib[m] = ContribState::kReady;
   rt.ready_bytes[out->node] += contrib_bytes(r, m);
   rt.ready[out->node].push_back(m);
+  // ready_bytes grows only here, so this is where a batch becomes due.
+  if (rt.ready_bytes[out->node] >= flush_threshold_ &&
+      std::find(rt.flush_due.begin(), rt.flush_due.end(), out->node) ==
+          rt.flush_due.end()) {
+    rt.flush_due.push_back(out->node);
+  }
 }
 
 void JobRun::flush_ready(std::uint32_t r, bool force) {
   ReduceTask& rt = reduces_[r];
   RCMP_CHECK(rt.state == ReduceState::kFetching);
-  for (cluster::NodeId src = 0; src < env_.cluster.size(); ++src) {
-    // Zero-byte contributions (empty payload buckets) still need a
-    // (zero-byte) fetch so the reducer's unfetched count drains.
-    if (rt.ready[src].empty()) continue;
-    if (!force && rt.ready_bytes[src] < flush_threshold_) continue;
-    if (!source_serving(src)) continue;  // rewound at detection/suspicion
-
-    FetchFlow ff;
-    ff.reducer = r;
-    ff.reducer_epoch = rt.epoch;
-    ff.src = src;
-    ff.mappers = std::move(rt.ready[src]);
-    ff.bytes = rt.ready_bytes[src];
-    rt.ready[src].clear();
-    rt.ready_bytes[src] = 0.0;
-    ff.mapper_bytes.reserve(ff.mappers.size());
-    for (std::uint32_t m : ff.mappers) {
-      RCMP_CHECK(rt.contrib[m] == ContribState::kReady);
-      rt.contrib[m] = ContribState::kInflight;
-      ff.mapper_bytes.push_back(contrib_bytes(r, m));
+  if (force) {
+    for (cluster::NodeId src = 0; src < env_.cluster.size(); ++src) {
+      // Zero-byte contributions (empty payload buckets) still need a
+      // (zero-byte) fetch so the reducer's unfetched count drains.
+      if (rt.ready[src].empty()) continue;
+      if (!source_serving(src)) continue;  // rewound at detection/suspicion
+      start_fetch(r, src);
     }
+    std::erase_if(rt.flush_due, [&rt](cluster::NodeId src) {
+      return rt.ready[src].empty();
+    });
+    return;
+  }
+  // Every batch at the threshold is in flush_due, so visiting it
+  // flushes exactly the sources a scan of every node would.
+  std::sort(rt.flush_due.begin(), rt.flush_due.end());
+  std::size_t keep = 0;
+  for (const cluster::NodeId src : rt.flush_due) {
+    if (rt.ready[src].empty() || rt.ready_bytes[src] < flush_threshold_) {
+      continue;  // rewound or reset since it became due
+    }
+    if (!source_serving(src)) {
+      rt.flush_due[keep++] = src;  // due again once it serves
+      continue;
+    }
+    start_fetch(r, src);
+  }
+  rt.flush_due.resize(keep);
+}
 
-    // Serve from memory only when every output in the batch is still
-    // resident — a partially-spilled batch streams at disk speed.
-    cluster::StorageTier src_tier = cluster::StorageTier::kDisk;
-    if (map_output_tier() == cluster::StorageTier::kMemory) {
-      src_tier = cluster::StorageTier::kMemory;
-      for (std::uint32_t m : ff.mappers) {
-        const MapOutput* out =
-            env_.map_outputs.find(maps_[m].key(spec_.logical_id));
-        if (out == nullptr || out->tier != cluster::StorageTier::kMemory) {
-          src_tier = cluster::StorageTier::kDisk;
-          break;
-        }
+void JobRun::start_fetch(std::uint32_t r, cluster::NodeId src) {
+  ReduceTask& rt = reduces_[r];
+  FetchFlow ff;
+  ff.reducer = r;
+  ff.reducer_epoch = rt.epoch;
+  ff.src = src;
+  ff.mappers = std::move(rt.ready[src]);
+  ff.bytes = rt.ready_bytes[src];
+  rt.ready[src].clear();
+  rt.ready_bytes[src] = 0.0;
+  ff.mapper_bytes.reserve(ff.mappers.size());
+  for (std::uint32_t m : ff.mappers) {
+    RCMP_CHECK(rt.contrib[m] == ContribState::kReady);
+    rt.contrib[m] = ContribState::kInflight;
+    ff.mapper_bytes.push_back(contrib_bytes(r, m));
+  }
+
+  // Serve from memory only when every output in the batch is still
+  // resident — a partially-spilled batch streams at disk speed.
+  cluster::StorageTier src_tier = cluster::StorageTier::kDisk;
+  if (map_output_tier() == cluster::StorageTier::kMemory) {
+    src_tier = cluster::StorageTier::kMemory;
+    for (std::uint32_t m : ff.mappers) {
+      const MapOutput* out =
+          env_.map_outputs.find(maps_[m].key(spec_.logical_id));
+      if (out == nullptr || out->tier != cluster::StorageTier::kMemory) {
+        src_tier = cluster::StorageTier::kDisk;
+        break;
       }
     }
-    const std::uint64_t token = next_fetch_token_++;
-    res::FlowSpec fs;
-    auto path = env_.cluster.path_transfer(src, rt.node,
-                                           /*read_src=*/true,
-                                           /*write_dst=*/true, src_tier,
-                                           map_output_tier());
-    fs.path = std::move(path.links);
-    fs.weights = std::move(path.weights);
-    fs.bytes = round_bytes(ff.bytes);
-    fs.on_complete = [this, token] { fetch_done(token); };
-    ff.flow = env_.net.start_flow(std::move(fs));
-    active_fetches_.emplace(token, std::move(ff));
   }
+  const std::uint64_t token = next_fetch_token_++;
+  res::FlowSpec fs;
+  auto path = env_.cluster.path_transfer(src, rt.node,
+                                         /*read_src=*/true,
+                                         /*write_dst=*/true, src_tier,
+                                         map_output_tier());
+  fs.path = std::move(path.links);
+  fs.weights = std::move(path.weights);
+  fs.bytes = round_bytes(ff.bytes);
+  fs.on_complete = [this, token] { fetch_done(token); };
+  ff.flow = env_.net.start_flow(std::move(fs));
+  active_fetches_.emplace(token, std::move(ff));
 }
 
 void JobRun::flush_all_ready(bool force) {
@@ -1395,6 +1425,7 @@ void JobRun::reset_reduce_task(std::uint32_t r) {
   rt.write_blocked = false;
   std::fill(rt.ready_bytes.begin(), rt.ready_bytes.end(), 0.0);
   for (auto& v : rt.ready) v.clear();
+  rt.flush_due.clear();
   rt.unfetched = static_cast<std::uint32_t>(maps_.size());
   std::fill(rt.contrib.begin(), rt.contrib.end(), ContribState::kWaiting);
   // Re-buffer contributions from mappers whose outputs are available.

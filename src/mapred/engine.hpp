@@ -236,6 +236,11 @@ class JobRun {
     // coalesced fetch flow.
     std::vector<double> ready_bytes;                 // [node]
     std::vector<std::vector<std::uint32_t>> ready;   // [node] -> mappers
+    /// Sources whose ready batch reached the flush threshold but has
+    /// not been fetched (buffered since the last flush, or skipped as
+    /// not serving). A superset: entries whose batch was rewound or
+    /// reset are dropped when a flush visits them.
+    std::vector<cluster::NodeId> flush_due;
 
     std::vector<Record> gathered;  // payload mode
     double out_bytes = 0.0;
@@ -350,8 +355,14 @@ class JobRun {
   // --- shuffle ---------------------------------------------------------
   void mark_contrib_ready(std::uint32_t r, std::uint32_t m);
   double contrib_bytes(std::uint32_t r, std::uint32_t m) const;
+  /// Start fetch flows for reducer r's buffered batches. Forced: every
+  /// non-empty batch; otherwise only `flush_due` batches at the flush
+  /// threshold. Either way in ascending source order, serving sources
+  /// only.
   void flush_ready(std::uint32_t r, bool force);
   void flush_all_ready(bool force);
+  /// Start one coalesced fetch flow for reducer r's batch from `src`.
+  void start_fetch(std::uint32_t r, cluster::NodeId src);
   void fetch_done(std::uint64_t token);
   void cancel_fetches_of_reducer(std::uint32_t r);
 

@@ -1,6 +1,7 @@
 #include "resources/flow_network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -16,6 +17,9 @@ namespace {
 constexpr double kDrainEpsilon = 1e-3;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr LinkId kNoLink = 0xffffffffu;
+// Unfrozen weight at or below this marks a link saturated (absorbs the
+// residue of subtracting non-integral weights).
+constexpr double kWeightEps = 1e-9;
 }  // namespace
 
 LinkId FlowNetwork::add_link(LinkSpec spec) {
@@ -23,6 +27,8 @@ LinkId FlowNetwork::add_link(LinkSpec spec) {
   RCMP_CHECK(spec.contention_alpha >= 0.0);
   links_.push_back(Link{std::move(spec), {}});
   links_.back().flows.reserve(4);
+  refresh_capacity(links_.back());
+  comp_mask_.resize((links_.size() + 63) / 64, 0);
   return static_cast<LinkId>(links_.size() - 1);
 }
 
@@ -31,9 +37,10 @@ void FlowNetwork::reserve(std::size_t links, std::size_t flows) {
   flows_.reserve(flows);
   hot_.reserve(flows);
   cand_heap_.reserve(flows);
-  scratch_rem_.reserve(links);
-  scratch_unfrozen_.reserve(links);
+  fill_.reserve(links);
+  touched_.reserve(links);
   comp_links_.reserve(links);
+  live_links_.reserve(links);
   round_.reserve(flows);
   dirty_links_.reserve(links);
   batch_.reserve(flows);
@@ -45,6 +52,7 @@ void FlowNetwork::set_link_capacity(LinkId id, Rate capacity) {
   RCMP_CHECK(id < links_.size());
   RCMP_CHECK(capacity > 0.0);
   links_[id].spec.capacity = capacity;
+  refresh_capacity(links_[id]);
   // Component flows advance at their pre-change rates inside the
   // reallocation before the new capacity takes effect (both happen at
   // this instant, so the deferred flush is exact).
@@ -58,7 +66,15 @@ Rate FlowNetwork::link_capacity(LinkId id) const {
 
 Rate FlowNetwork::link_effective_capacity(LinkId id) const {
   RCMP_CHECK(id < links_.size());
-  const Link& l = links_[id];
+  return links_[id].eff_capacity;
+}
+
+double FlowNetwork::fair_share(const LinkFill& lf) {
+  return lf.unfrozen <= kWeightEps ? kInf
+                                   : std::max(0.0, lf.rem) / lf.unfrozen;
+}
+
+Rate FlowNetwork::effective_capacity(const Link& l) {
   const double k = l.weighted_streams;
   if (k <= 1.0 || l.spec.contention_alpha == 0.0) return l.spec.capacity;
   const double threshold = std::max(1.0, l.spec.contention_threshold);
@@ -107,7 +123,7 @@ void FlowNetwork::release_slot(std::uint32_t slot) {
   f.active = false;
   ++f.gen;  // invalidate outstanding FlowIds and completion candidates
   f.on_complete = nullptr;
-  f.hops.clear();
+  hot_[slot].hops.clear();
   f.next_free = free_head_;
   free_head_ = slot;
   --active_count_;
@@ -134,7 +150,7 @@ FlowId FlowNetwork::start_flow(FlowSpec spec) {
   Flow& f = flows_[slot];
   FlowHot& h = hot_[slot];
   f.active = true;
-  f.hops.resize(spec.path.size());
+  h.hops.resize(spec.path.size());
   f.tail_latency = spec.tail_latency;
   f.start_seq = next_start_seq_++;
   f.on_complete = std::move(spec.on_complete);
@@ -143,14 +159,15 @@ FlowId FlowNetwork::start_flow(FlowSpec spec) {
   h.updated_at = sim_.now();
   h.stamp = 0;
   h.visit_epoch = 0;
-  for (std::size_t i = 0; i < f.hops.size(); ++i) {
-    Hop& hp = f.hops[i];
+  for (std::size_t i = 0; i < h.hops.size(); ++i) {
+    Hop& hp = h.hops[i];
     hp.link = spec.path[i];
     hp.weight = spec.weights.empty() ? 1.0 : spec.weights[i];
     Link& link = links_[hp.link];
     hp.pos = static_cast<std::uint32_t>(link.flows.size());
     link.flows.push_back(LinkRef{slot, static_cast<std::uint32_t>(i)});
     link.weighted_streams += hp.weight;
+    refresh_capacity(link);
   }
   ++active_count_;
   // The flow connects every link on its path, so this is one component.
@@ -161,8 +178,7 @@ FlowId FlowNetwork::start_flow(FlowSpec spec) {
 void FlowNetwork::cancel_flow(FlowId id) {
   const std::uint32_t slot = decode(id);
   if (slot == kNoSlot) return;
-  Flow& f = flows_[slot];
-  for (const Hop& hp : f.hops) dirty_links_.push_back(hp.link);
+  for (const Hop& hp : hot_[slot].hops) dirty_links_.push_back(hp.link);
   mark_dirty(nullptr, 0);  // ensure the flush is queued
   detach_from_links(slot);
   release_slot(slot);  // generation bump voids any completion candidate
@@ -204,7 +220,7 @@ std::vector<std::string> FlowNetwork::audit() {
         out.push_back(os.str());
         continue;
       }
-      const Hop& hp = flows_[r.flow_slot].hops[r.path_pos];
+      const Hop& hp = hot_[r.flow_slot].hops[r.path_pos];
       streams += hp.weight;
       load += hp.weight * std::max(0.0, hot_[r.flow_slot].rate);
     }
@@ -215,7 +231,14 @@ std::vector<std::string> FlowNetwork::audit() {
          << " recount=" << streams;
       out.push_back(os.str());
     }
-    const double cap = link_effective_capacity(l);
+    const double cap = link.eff_capacity;
+    if (cap != effective_capacity(link)) {
+      std::ostringstream os;
+      os << "link " << link.spec.name << ": cached effective capacity "
+         << cap << " B/s is stale (model gives "
+         << effective_capacity(link) << " B/s)";
+      out.push_back(os.str());
+    }
     if (load > cap * (1.0 + kRel) + kAbs) {
       std::ostringstream os;
       os << "link " << link.spec.name << ": oversubscribed: allocated "
@@ -241,12 +264,12 @@ std::vector<std::string> FlowNetwork::audit() {
       continue;
     }
     bool bottleneck_found = false;
-    for (const Hop& hp : f.hops) {
+    for (const Hop& hp : h.hops) {
       const Link& link = links_[hp.link];
       double load = 0.0;
       double max_rate = 0.0;
       for (const LinkRef& r : link.flows) {
-        const Hop& other = flows_[r.flow_slot].hops[r.path_pos];
+        const Hop& other = hot_[r.flow_slot].hops[r.path_pos];
         const double rate = std::max(0.0, hot_[r.flow_slot].rate);
         load += other.weight * rate;
         if (rate > max_rate) max_rate = rate;
@@ -301,9 +324,9 @@ void FlowNetwork::flush_dirty() {
 }
 
 void FlowNetwork::detach_from_links(std::uint32_t slot) {
-  Flow& f = flows_[slot];
-  for (std::size_t i = 0; i < f.hops.size(); ++i) {
-    const Hop& hp = f.hops[i];
+  const std::vector<Hop>& hops = hot_[slot].hops;
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    const Hop& hp = hops[i];
     Link& link = links_[hp.link];
     const std::uint32_t pos = hp.pos;
     RCMP_CHECK(pos < link.flows.size() &&
@@ -314,10 +337,11 @@ void FlowNetwork::detach_from_links(std::uint32_t slot) {
     if (moved.flow_slot != slot || moved.path_pos != i) {
       // Keep the displaced occurrence's back-pointer accurate (it may
       // be another hop of this same flow — a double-crossing).
-      flows_[moved.flow_slot].hops[moved.path_pos].pos = pos;
+      hot_[moved.flow_slot].hops[moved.path_pos].pos = pos;
     }
     link.weighted_streams =
         std::max(0.0, link.weighted_streams - hp.weight);
+    refresh_capacity(link);
   }
 }
 
@@ -349,6 +373,7 @@ void FlowNetwork::reallocate_one_component(LinkId seed) {
   std::size_t comp_flow_count = 0;
   links_[seed].visit_epoch = epoch_;
   comp_links_.push_back(seed);
+  comp_mask_[seed >> 6] |= std::uint64_t{1} << (seed & 63);
   for (std::size_t qi = 0; qi < comp_links_.size(); ++qi) {
     // Note: comp_links_ grows during iteration (it is the BFS queue).
     const Link& link = links_[comp_links_[qi]];
@@ -365,36 +390,57 @@ void FlowNetwork::reallocate_one_component(LinkId seed) {
       }
       h.rate = -1.0;  // -1 == unfrozen for the filling below
       // Once the component spans every link there is nothing left to
-      // discover; skip the per-flow path walk (it is the only cold
-      // access in this loop, and whole-network components are common).
+      // discover; skip the per-flow path walk.
       if (comp_links_.size() == links_.size()) continue;
-      for (const Hop& hp : flows_[r.flow_slot].hops) {
+      for (const Hop& hp : h.hops) {
         if (links_[hp.link].visit_epoch != epoch_) {
           links_[hp.link].visit_epoch = epoch_;
           comp_links_.push_back(hp.link);
+          comp_mask_[hp.link >> 6] |= std::uint64_t{1} << (hp.link & 63);
         }
       }
     }
   }
   flows_reallocated_ += comp_flow_count;
-  if (comp_flow_count == 0) return;
 
   // Ascending link order keeps bottleneck tie-breaking identical to a
-  // full recompute (which scans links 0..n-1).
-  std::sort(comp_links_.begin(), comp_links_.end());
-
-  if (scratch_rem_.size() < links_.size()) {
-    scratch_rem_.resize(links_.size());
-    scratch_unfrozen_.resize(links_.size());
+  // full recompute (which scans links 0..n-1). The membership bits are
+  // this pass's own: `visit_epoch` cannot serve, since every component
+  // of one reallocate() call shares the epoch. Draining the mask also
+  // clears it for the next pass, at O(links / 64 + component) cost.
+  live_links_.clear();
+  if (fill_.size() < links_.size()) fill_.resize(links_.size());
+  std::size_t marked = comp_links_.size();
+  for (std::size_t w = 0; marked != 0; ++w) {
+    std::uint64_t bits = comp_mask_[w];
+    comp_mask_[w] = 0;
+    while (bits != 0) {
+      const auto l =
+          static_cast<LinkId>(w * 64 + std::countr_zero(bits));
+      bits &= bits - 1;
+      --marked;
+      live_links_.push_back(l);
+      LinkFill& lf = fill_[l];
+      lf.rem = links_[l].eff_capacity;
+      lf.unfrozen = links_[l].weighted_streams;
+      lf.share = fair_share(lf);
+      lf.round = 0;
+    }
   }
-  for (LinkId l : comp_links_) {
-    scratch_rem_[l] = link_effective_capacity(l);
-    scratch_unfrozen_[l] = links_[l].weighted_streams;
-  }
+  if (comp_flow_count == 0) return;
 
   // Progressive filling restricted to the component: repeatedly find
   // the most constrained link (smallest fair share per unit weight),
   // freeze its flows at that share, subtract their consumption.
+  //
+  // Ordered selection: the bottleneck is the first minimum share in
+  // ascending link id, exactly as a full scan of the component would
+  // find it. Each link caches its share, recomputed only when a round's
+  // subtraction changes its residual or unfrozen weight, so the scan
+  // compares instead of dividing. Each scan also compacts `live_links_`,
+  // stably, to the links that still carry unfrozen weight: unfrozen
+  // weight only shrinks, so a dropped link never returns, and the
+  // survivors stay in ascending id order.
   //
   // The commit work is fused into the freeze: each flow gets its new
   // rate and pass stamp the moment it freezes, drained flows are
@@ -410,20 +456,22 @@ void FlowNetwork::reallocate_one_component(LinkId seed) {
   double best_rate = 0.0;
   std::uint32_t first_slot = kNoSlot;  // fallback if all flows stalled
   std::size_t frozen = 0;
-  constexpr double kWeightEps = 1e-9;
   for (;;) {
     double best_share = kInf;
     LinkId best_link = kNoLink;
-    for (LinkId l : comp_links_) {
-      if (scratch_unfrozen_[l] <= kWeightEps) continue;
-      const double share =
-          std::max(0.0, scratch_rem_[l]) / scratch_unfrozen_[l];
+    std::size_t live = 0;
+    for (const LinkId l : live_links_) {
+      const double share = fill_[l].share;
+      if (share == kInf) continue;  // saturated: dropped for good
+      live_links_[live++] = l;
       if (share < best_share) {
         best_share = share;
         best_link = l;
       }
     }
+    live_links_.resize(live);
     if (best_link == kNoLink) break;  // all component flows frozen
+    ++fill_rounds_;
 
     round_.clear();
     for (const LinkRef& r : links_[best_link].flows) {
@@ -448,14 +496,22 @@ void FlowNetwork::reallocate_one_component(LinkId seed) {
     // next bottleneck; when this round froze the whole component (the
     // overwhelmingly common single-bottleneck case) skip it entirely.
     if (frozen == comp_flow_count) break;
+    touched_.clear();
     for (std::uint32_t slot : round_) {
-      for (const Hop& hp : flows_[slot].hops) {
-        scratch_rem_[hp.link] -= best_share * hp.weight;
-        scratch_unfrozen_[hp.link] -= hp.weight;
+      for (const Hop& hp : hot_[slot].hops) {
+        LinkFill& lf = fill_[hp.link];
+        lf.rem -= best_share * hp.weight;
+        lf.unfrozen -= hp.weight;
+        if (lf.round != fill_rounds_) {
+          lf.round = fill_rounds_;
+          touched_.push_back(hp.link);
+        }
       }
     }
-    RCMP_CHECK(scratch_unfrozen_[best_link] <= 1e-6);
-    scratch_unfrozen_[best_link] = 0.0;
+    RCMP_CHECK(fill_[best_link].unfrozen <= 1e-6);
+    for (const LinkId l : touched_) fill_[l].share = fair_share(fill_[l]);
+    fill_[best_link].unfrozen = 0.0;
+    fill_[best_link].share = kInf;
   }
 
   // One completion candidate per pass: a drained flow completes at this
@@ -544,7 +600,7 @@ void FlowNetwork::on_timer() {
     seed_links_.clear();
     for (std::uint32_t slot : batch_) {
       Flow& f = flows_[slot];
-      for (const Hop& hp : f.hops) seed_links_.push_back(hp.link);
+      for (const Hop& hp : hot_[slot].hops) seed_links_.push_back(hp.link);
       detach_from_links(slot);
       finish_cbs_.push_back(
           FinishCb{f.start_seq, f.tail_latency, std::move(f.on_complete)});

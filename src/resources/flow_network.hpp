@@ -150,6 +150,9 @@ class FlowNetwork {
   /// Flows visited across all reallocations (incrementality metric:
   /// compare against reallocations() * active_flows()).
   std::uint64_t flows_reallocated() const { return flows_reallocated_; }
+  /// Progressive-filling rounds across all reallocations: one per
+  /// bottleneck link saturated (a single-bottleneck pass counts 1).
+  std::uint64_t fill_rounds() const { return fill_rounds_; }
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -167,6 +170,10 @@ class FlowNetwork {
     LinkSpec spec;
     std::vector<LinkRef> flows;  // active flow occurrences on this link
     double weighted_streams = 0.0;
+    /// effective_capacity(*this), refreshed by every write to
+    /// `weighted_streams` or `spec.capacity` (refresh_capacity) so a
+    /// pass reads it instead of re-evaluating the log per disk link.
+    double eff_capacity = 0.0;
     std::uint32_t visit_epoch = 0;  // component-BFS mark
   };
   /// One hop of a flow's path, packed contiguously so a reallocation
@@ -179,7 +186,6 @@ class FlowNetwork {
   };
   /// Cold per-flow state: touched at start/cancel/completion only.
   struct Flow {
-    std::vector<Hop> hops;
     SimTime tail_latency = 0.0;
     std::uint64_t start_seq = 0;  // monotonic; deterministic tie-break
     std::uint32_t gen = 0;
@@ -191,7 +197,7 @@ class FlowNetwork {
   /// reallocation pass touches each component flow several times
   /// (BFS mark, progress advance, freeze), and the working set of a
   /// large component must stay cache-resident.
-  struct FlowHot {
+  struct alignas(64) FlowHot {
     double remaining = 0.0;  // bytes, exact at `updated_at`
     Rate rate = 0.0;
     SimTime updated_at = 0.0;
@@ -202,6 +208,9 @@ class FlowNetwork {
     /// update.
     std::uint64_t stamp = 0;
     std::uint32_t visit_epoch = 0;  // component-BFS mark
+    /// The path, walked by the BFS and by every fill round's
+    /// subtraction: kept on the flow's one cache line.
+    std::vector<Hop> hops;
   };
 
   /// Lazy completion candidate: the earliest projected finish in one
@@ -223,6 +232,14 @@ class FlowNetwork {
   struct CandNoPos {
     void operator()(const CandEntry&, std::uint32_t) const {}
   };
+  /// Per-link progressive-filling state of the current pass.
+  struct LinkFill {
+    double rem = 0.0;       // residual capacity
+    double unfrozen = 0.0;  // weight of flows not frozen yet
+    double share = 0.0;     // fair_share(*this); infinity once saturated
+    std::uint64_t round = 0;  // last fill round that changed rem/unfrozen
+  };
+  static double fair_share(const LinkFill& lf);
   struct FinishCb {
     std::uint64_t start_seq;
     SimTime tail;
@@ -239,6 +256,13 @@ class FlowNetwork {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
+
+  /// eff(k) of the degradation model for the link's current stream
+  /// count; the single definition behind Link::eff_capacity.
+  static Rate effective_capacity(const Link& l);
+  static void refresh_capacity(Link& l) {
+    l.eff_capacity = effective_capacity(l);
+  }
 
   double remaining_at(const FlowHot& h, SimTime t) const {
     const double r = h.remaining - h.rate * (t - h.updated_at);
@@ -284,15 +308,22 @@ class FlowNetwork {
   SimTime scheduled_finish_ = 0.0;  // key the completion event targets
   std::uint64_t reallocations_ = 0;
   std::uint64_t flows_reallocated_ = 0;
+  std::uint64_t fill_rounds_ = 0;
   std::uint32_t epoch_ = 0;  // BFS visit epoch
 
   IndexedHeap<CandEntry, CandLess, CandNoPos> cand_heap_{CandLess{},
                                                          CandNoPos{}};
 
   // Scratch buffers reused across reallocations to avoid churn.
-  std::vector<double> scratch_rem_;       // per-link residual capacity
-  std::vector<double> scratch_unfrozen_;  // per-link unfrozen weight
-  std::vector<LinkId> comp_links_;
+  std::vector<LinkFill> fill_;            // per-link filling state
+  std::vector<LinkId> touched_;           // links changed this round
+  std::vector<LinkId> comp_links_;        // BFS queue, discovery order
+  /// Per-pass component membership, one bit per link: set by the BFS,
+  /// drained (and so cleared) in ascending id order into `live_links_`.
+  std::vector<std::uint64_t> comp_mask_;
+  /// Component links that still carry unfrozen weight, ascending id;
+  /// compacted in place each fill round.
+  std::vector<LinkId> live_links_;
   std::vector<std::uint32_t> round_;        // flows frozen this fill round
   std::vector<std::uint32_t> batch_;        // flows drained, per timer
   std::vector<std::uint32_t> drained_now_;  // drained during last realloc

@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "workloads/scenario.hpp"
 
 namespace rcmp::workloads {
 
@@ -206,6 +207,7 @@ std::vector<core::ChainResult> MultiScenario::finish() {
   RCMP_CHECK_MSG(all_finished(),
                  "simulation drained before every chain completed "
                  "(scheduler or engine deadlock)");
+  publish_sim_metrics(obs_.metrics, sim_, net_);
   return results_;
 }
 

@@ -161,7 +161,18 @@ core::ChainResult Scenario::drive_to_completion() {
   RCMP_CHECK_MSG(middleware_->finished(),
                  "simulation drained before the chain completed "
                  "(engine deadlock)");
+  publish_sim_metrics(obs_.metrics, sim_, net_);
   return result;
+}
+
+void publish_sim_metrics(obs::MetricsRegistry& m, const sim::Simulation& sim,
+                         const res::FlowNetwork& net) {
+  m.add("sim.events", sim.events_processed());
+  m.add("sim.cancelled", sim.events_cancelled());
+  m.set_gauge("sim.peak_pending", static_cast<double>(sim.peak_pending()));
+  m.add("net.realloc_passes", net.reallocations());
+  m.add("net.flows_reallocated", net.flows_reallocated());
+  m.add("net.fill_rounds", net.fill_rounds());
 }
 
 bool Scenario::crash_master() {

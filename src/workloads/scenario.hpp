@@ -130,6 +130,13 @@ class Scenario {
   bool ran_ = false;
 };
 
+/// Publish the simulator-core host counters into `m` once a scenario's
+/// simulation has drained: sim.events, sim.cancelled, net.realloc_passes,
+/// net.flows_reallocated and net.fill_rounds as counters, and
+/// sim.peak_pending as a gauge.
+void publish_sim_metrics(obs::MetricsRegistry& m, const sim::Simulation& sim,
+                         const res::FlowNetwork& net);
+
 /// Convenience: run one scenario end to end and return the result.
 core::ChainResult run_scenario(const ScenarioConfig& cfg,
                                core::StrategyConfig strategy,

@@ -13,8 +13,10 @@
 #include "cluster/chaos.hpp"
 #include "cluster/detector.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/scheduler.hpp"
 #include "fixtures.hpp"
+#include "mapred/slot_broker.hpp"
 #include "workloads/scenario.hpp"
 
 namespace rcmp {
@@ -449,6 +451,106 @@ TEST(RetryJitter, JitteredRetriesAreSeedDeterministicAndCorrect) {
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
   const auto plain = jitterfx::jitter_run(0.0, jitterfx::kill_at(2));
   EXPECT_EQ(a.checksum, plain.checksum);
+}
+
+// --- shuffle flushes and unserved sources ----------------------------
+
+/// Slot broker that grants one slot per node and kind, except that
+/// reduce slots stay closed until the test opens them.
+class GatedReduceSlots final : public mapred::SlotBroker {
+ public:
+  explicit GatedReduceSlots(std::uint32_t nodes)
+      : free_{std::vector<int>(nodes, 1), std::vector<int>(nodes, 1)} {}
+  bool may_acquire(cluster::NodeId n, mapred::SlotKind k) const override {
+    if (k == mapred::SlotKind::kReduce && !reduce_open) return false;
+    return free_[static_cast<int>(k)][n] > 0;
+  }
+  void acquire(cluster::NodeId n, mapred::SlotKind k) override {
+    --free_[static_cast<int>(k)][n];
+  }
+  void release(cluster::NodeId n, mapred::SlotKind k) override {
+    ++free_[static_cast<int>(k)][n];
+  }
+  void release_all() override {}
+  void set_demand(mapred::SlotKind, bool) override {}
+
+  bool reduce_open = false;
+
+ private:
+  std::vector<int> free_[2];
+};
+
+// A reducer's ready batch from node 0 is over the flush threshold when
+// node 0 stops serving (partitioned, engine not yet told). The
+// reducer's startup flush skips it, and so does the threshold flush of
+// the next mapper completion. Once node 0 serves again, the threshold
+// flush after a later mapper completion must fetch that batch, before
+// the map phase ends, exactly once, and the output must match the input.
+TEST(ShuffleFlush, DueBatchSkippedWhileUnservedIsFetchedOnceAfterHeal) {
+  testfx::EngineFixture f(/*nodes=*/4, /*blocks_per_node=*/1,
+                          /*input_replication=*/2);
+  // Any non-empty batch is due: the threshold floors at one byte.
+  f.cfg.shuffle_flush_fraction = 1e-12;
+  // Stragglers: node 0's mapper finishes by t = 2.5, node 1's at about
+  // t = 4.1 (node 0 unserved), node 3's at about t = 5 (node 0 healed),
+  // node 2's at about t = 8.5 (the map phase ends).
+  f.cluster.set_cpu_factor(1, 14.0);
+  f.cluster.set_cpu_factor(3, 20.0);
+  f.cluster.set_cpu_factor(2, 40.0);
+
+  workloads::IdentityMapper mapper;
+  workloads::IdentityReducer reducer;
+  std::vector<mapred::Record> all;
+  Rng rng(11);
+  for (cluster::NodeId n = 0; n < 4; ++n) {
+    std::vector<mapred::Record> part;
+    for (int i = 0; i < 40; ++i) part.push_back({rng(), rng()});
+    all.insert(all.end(), part.begin(), part.end());
+    f.payloads.append(f.input, n, part, /*block_count=*/1);
+  }
+
+  cluster::FailureDetector det(f.sim, f.cluster, DetectorConfig{}, 30.0);
+  GatedReduceSlots slots(4);
+  obs::Observability obs;
+  obs.tracer.enable(1 << 12);
+  mapred::Env env = f.env();
+  env.detector = &det;  // source_serving() now honours reachability
+  env.slots = &slots;
+  env.obs = &obs;
+
+  auto spec = f.make_spec(/*reducers=*/4);
+  spec.mapper = &mapper;
+  spec.reducer = &reducer;
+  const auto out = spec.output;
+  mapred::JobRun run(env, std::move(spec), mapred::RecomputeDirective{},
+                     f.cfg, 1, 7, [](mapred::JobRun&) {});
+  run.start();
+  f.sim.schedule_at(3.0, [&] { f.cluster.set_partitioned(0, true); });
+  f.sim.schedule_at(3.5, [&] {
+    slots.reduce_open = true;
+    run.poke();
+  });
+  f.sim.schedule_at(4.5, [&] { f.cluster.set_partitioned(0, false); });
+  f.sim.run();
+
+  ASSERT_TRUE(run.finished());
+  ASSERT_EQ(run.result().status, mapred::JobResult::Status::kCompleted);
+  // Completion means every reducer's unfetched count drained to 0.
+  EXPECT_EQ(f.payloads.file_checksum(out, 4), mapred::checksum_of(all));
+  EXPECT_DOUBLE_EQ(run.result().shuffle_bytes,
+                   static_cast<double>(all.size() * f.cfg.record_bytes));
+
+  std::uint32_t from_node0 = 0;
+  for (const obs::TraceEvent& ev : obs.tracer.events()) {
+    if (ev.type != static_cast<std::uint8_t>(obs::EventType::kShuffleFetch) ||
+        ev.node != 0) {
+      continue;
+    }
+    ++from_node0;
+    EXPECT_GT(ev.time, 4.5);
+    EXPECT_LT(ev.time, run.result().map_phase_end);
+  }
+  EXPECT_EQ(from_node0, 4u);  // one coalesced fetch per reducer
 }
 
 }  // namespace

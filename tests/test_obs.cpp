@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "workloads/multi_scenario.hpp"
 #include "workloads/scenario.hpp"
 
 namespace rcmp {
@@ -158,6 +159,40 @@ TEST(Metrics, ChainResultIsMirroredAtCompletion) {
                    static_cast<double>(r.peak_storage));
   ASSERT_NE(m.find_histogram("jobs.duration_seconds"), nullptr);
   EXPECT_GT(m.find_histogram("jobs.duration_seconds")->count(), 0u);
+}
+
+TEST(Metrics, SimulatorCountersArePublishedAtScenarioEnd) {
+  Scenario s(workloads::tiny_config(5, 4));
+  ASSERT_TRUE(s.run(rcmp_split(), fail_at({2})).completed);
+  const auto& m = s.obs().metrics;
+  const sim::Simulation& sim = s.sim();
+  const res::FlowNetwork& net = s.env().net;
+  EXPECT_GT(sim.events_processed(), 0u);
+  EXPECT_GT(net.fill_rounds(), 0u);
+  EXPECT_EQ(m.counter("sim.events"), sim.events_processed());
+  EXPECT_EQ(m.counter("sim.cancelled"), sim.events_cancelled());
+  ASSERT_NE(m.find_gauge("sim.peak_pending"), nullptr);
+  EXPECT_EQ(*m.find_gauge("sim.peak_pending"),
+            static_cast<double>(sim.peak_pending()));
+  EXPECT_EQ(m.counter("net.realloc_passes"), net.reallocations());
+  EXPECT_EQ(m.counter("net.flows_reallocated"), net.flows_reallocated());
+  EXPECT_EQ(m.counter("net.fill_rounds"), net.fill_rounds());
+}
+
+TEST(Metrics, MultiScenarioPublishesSimulatorCounters) {
+  workloads::MultiScenarioConfig cfg;
+  cfg.base = workloads::payload_config(6, 2, 64);
+  cfg.chains = 2;
+  workloads::MultiScenario ms(cfg);
+  for (const auto& r : ms.run(rcmp_split())) ASSERT_TRUE(r.completed);
+  const auto& m = ms.obs().metrics;
+  EXPECT_EQ(m.counter("sim.events"), ms.sim().events_processed());
+  EXPECT_EQ(m.counter("sim.cancelled"), ms.sim().events_cancelled());
+  ASSERT_NE(m.find_gauge("sim.peak_pending"), nullptr);
+  EXPECT_EQ(*m.find_gauge("sim.peak_pending"),
+            static_cast<double>(ms.sim().peak_pending()));
+  EXPECT_GT(m.counter("net.realloc_passes"), 0u);
+  EXPECT_GT(m.counter("net.flows_reallocated"), 0u);
 }
 
 // --- invariant auditor -----------------------------------------------

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "workloads/scenario.hpp"
 
@@ -110,6 +111,11 @@ struct ConservationCase {
   Strategy strategy;
   std::vector<std::uint32_t> failures;
 };
+
+// Print the case by name: gtest's default byte dump would put the
+// address of `name` into the test's listed name, which then changes
+// with every change to the binary's layout.
+void PrintTo(const ConservationCase& c, std::ostream* os) { *os << c.name; }
 
 class ByteConservation
     : public ::testing::TestWithParam<ConservationCase> {};
