@@ -112,6 +112,62 @@ inline cluster::ClusterSpec spec_of(std::uint32_t nodes,
   return spec;
 }
 
+/// Slot broker that grants a node's full slot complement to one run and
+/// keeps a ledger of what that run holds. A release on a node where the
+/// run holds nothing is counted as a bad release; release_all() records
+/// how many slots were still held when it was called.
+class CountingSlotBroker final : public mapred::SlotBroker {
+ public:
+  CountingSlotBroker(const cluster::Cluster& cluster,
+                     std::uint32_t map_slots, std::uint32_t reduce_slots)
+      : cluster_(cluster),
+        cap_{map_slots, reduce_slots},
+        held_{std::vector<std::uint32_t>(cluster.size(), 0),
+              std::vector<std::uint32_t>(cluster.size(), 0)} {}
+
+  bool may_acquire(cluster::NodeId n, mapred::SlotKind k) const override {
+    return cluster_.compute_alive(n) && cluster_.is_compute_node(n) &&
+           held_[idx(k)][n] < cap_[idx(k)];
+  }
+  void acquire(cluster::NodeId n, mapred::SlotKind k) override {
+    EXPECT_TRUE(may_acquire(n, k));
+    ++held_[idx(k)][n];
+    ++acquires;
+  }
+  void release(cluster::NodeId n, mapred::SlotKind k) override {
+    if (!cluster_.compute_alive(n)) return;  // forfeited at the failure
+    if (held_[idx(k)][n] == 0) {
+      ++bad_releases;
+      return;
+    }
+    --held_[idx(k)][n];
+    ++releases;
+  }
+  void release_all() override {
+    held_at_release_all.push_back(held());
+    for (auto& per_kind : held_) std::fill(per_kind.begin(), per_kind.end(), 0);
+  }
+  void set_demand(mapred::SlotKind, bool) override {}
+
+  std::uint32_t held() const {
+    std::uint32_t n = 0;
+    for (const auto& per_kind : held_)
+      for (std::uint32_t h : per_kind) n += h;
+    return n;
+  }
+
+  std::uint32_t acquires = 0;
+  std::uint32_t releases = 0;
+  std::uint32_t bad_releases = 0;
+  std::vector<std::uint32_t> held_at_release_all;
+
+ private:
+  static int idx(mapred::SlotKind k) { return static_cast<int>(k); }
+  const cluster::Cluster& cluster_;
+  std::uint32_t cap_[2];
+  std::vector<std::uint32_t> held_[2];
+};
+
 /// Drives a single JobRun directly, without the middleware.
 struct EngineFixture {
   explicit EngineFixture(std::uint32_t nodes = kDefaultNodes,
@@ -151,7 +207,9 @@ struct EngineFixture {
   }
 
   mapred::Env env() {
-    return mapred::Env{sim, net, cluster, dfs, outputs, payloads};
+    mapred::Env e{sim, net, cluster, dfs, outputs, payloads};
+    e.slots = slots;
+    return e;
   }
 
   mapred::JobSpec make_spec(std::uint32_t reducers,
@@ -183,6 +241,9 @@ struct EngineFixture {
   mapred::MapOutputStore outputs;
   mapred::PayloadStore payloads;
   mapred::EngineConfig cfg;
+  /// Optional slot arbiter for run(); nullptr keeps the engine's private
+  /// slot accounting.
+  mapred::SlotBroker* slots = nullptr;
   dfs::FileId input = dfs::kInvalidFile;
   std::uint32_t next_ordinal = 1;
   std::vector<std::unique_ptr<mapred::JobRun>> runs;
