@@ -65,7 +65,9 @@ inline double mean_total_time(const workloads::ScenarioConfig& base,
 
 /// One measured benchmark: wall time per iteration plus user counters
 /// (e.g. ns_per_item, reallocs). Written one record per line, so the
-/// baseline check can parse it without a JSON library.
+/// baseline check can parse it without a JSON library. Counters are
+/// written with round-trip precision, so a simulated value read back
+/// from a baseline compares exactly.
 struct BenchRecord {
   std::string name;
   double real_time_ns = 0.0;
@@ -82,7 +84,7 @@ inline bool write_bench_json(const std::string& path,
     std::fprintf(f, "    {\"name\": \"%s\", \"real_time_ns\": %.3f",
                  r.name.c_str(), r.real_time_ns);
     for (const auto& [k, v] : r.counters) {
-      std::fprintf(f, ", \"%s\": %.6f", k.c_str(), v);
+      std::fprintf(f, ", \"%s\": %.17g", k.c_str(), v);
     }
     std::fprintf(f, "}%s\n", i + 1 < records.size() ? "," : "");
   }
@@ -163,7 +165,7 @@ inline int count_regressions(const std::vector<BenchRecord>& current,
         const double* got = find(r, key);
         if (got == nullptr || *got != *want) {
           std::fprintf(stderr,
-                       "MISMATCH %s %s: %.0f vs baseline %.0f (gated "
+                       "MISMATCH %s %s: %.17g vs baseline %.17g (gated "
                        "for exact equality)\n",
                        r.name.c_str(), key.c_str(),
                        got == nullptr ? -1.0 : *got, *want);

@@ -8,10 +8,11 @@
 //   $ ./policy_backtest --bench-json BENCH_policy.json \
 //         --baseline ../bench/BENCH_policy.baseline.json
 //
-// With --baseline the run fails (exit 1) if any static-policy makespan
-// regresses more than 2x against the checked-in baseline — the nightly
-// CI gate that keeps the policy seams honest about their zero-cost
-// claim. Same seed => byte-identical --json output.
+// With --baseline the run fails (exit 1) unless every (scene, policy)
+// row reproduces the checked-in baseline exactly: simulated makespan,
+// replans and wasted work are seed-deterministic, so any difference is
+// a behaviour change that needs a re-baseline. Same seed =>
+// byte-identical --json output.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -110,16 +111,18 @@ int main(int argc, char** argv) {
     write_file(json_path, analysis::scoreboard_json(report));
   }
 
-  // Bench records: one per (scene, policy), "time" = simulated makespan
-  // (the baseline gate compares ratios, so units only need consistency).
+  // Bench records: one per (scene, policy), simulated outputs only (no
+  // host time is measured per row).
+  const std::vector<std::string> exact = {"makespan_s", "replans",
+                                          "wasted_work_seconds"};
   std::vector<bench::BenchRecord> records;
   std::uint32_t violations = 0;
   std::uint32_t incomplete = 0;
   for (const analysis::PolicyScore& r : report.rows) {
     bench::BenchRecord rec;
     rec.name = "policy/" + r.scene + "/" + r.policy;
-    rec.real_time_ns = r.makespan * 1e9;
-    rec.counters = {{"replans", static_cast<double>(r.replans)},
+    rec.counters = {{"makespan_s", r.makespan},
+                    {"replans", static_cast<double>(r.replans)},
                     {"wasted_work_seconds", r.wasted_work_seconds}};
     records.push_back(std::move(rec));
     violations += r.violations;
@@ -133,23 +136,23 @@ int main(int argc, char** argv) {
 
   int regressions = 0;
   if (!baseline_path.empty()) {
-    // Gate only the static rows: adaptive policies may legitimately
-    // trade makespan on one scene for another, but the inert shim has
-    // no excuse to move at all.
-    std::vector<bench::BenchRecord> static_rows;
+    const auto baseline = bench::read_bench_json(baseline_path);
+    regressions = bench::count_regressions(records, baseline, 2.0, exact);
+    // count_regressions skips rows the baseline lacks; an ungated row
+    // is a failure too.
     for (const bench::BenchRecord& r : records) {
-      if (r.name.size() >= 7 &&
-          r.name.compare(r.name.size() - 7, 7, "/static") == 0) {
-        static_rows.push_back(r);
+      bool found = false;
+      for (const bench::BenchRecord& b : baseline) found |= b.name == r.name;
+      if (!found) {
+        std::fprintf(stderr, "MISSING %s: no baseline row\n", r.name.c_str());
+        ++regressions;
       }
     }
-    regressions = bench::count_regressions(
-        static_rows, bench::read_bench_json(baseline_path), 2.0);
   }
 
   std::printf(
-      "\n%zu rows, %u violation(s), %u incomplete, %d static "
-      "regression(s)%s\n",
+      "\n%zu rows, %u violation(s), %u incomplete, %d baseline "
+      "mismatch(es)%s\n",
       report.rows.size(), violations, incomplete, regressions,
       violations == 0 && regressions == 0 ? "" : " — FAIL");
   return violations == 0 && regressions == 0 ? 0 : 1;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -36,61 +37,54 @@ bool JobRun::payload_mode() const { return payload_mode_; }
 // slot accounting: private arrays (sole tenant) or the shared broker
 // ---------------------------------------------------------------------
 
-bool JobRun::map_slot_free(cluster::NodeId n) const {
+bool JobRun::slot_free(SlotKind kind, cluster::NodeId n) const {
   // Suspected and quarantined nodes receive no new task placements;
   // this single gate covers both slot modes and every placement site.
   if (env_.detector != nullptr && !env_.detector->schedulable(n))
     return false;
   if (env_.slots != nullptr) {
-    return map_node_banned_[n] == 0 &&
-           env_.slots->may_acquire(n, SlotKind::kMap);
+    return (kind == SlotKind::kReduce || map_node_banned_[n] == 0) &&
+           env_.slots->may_acquire(n, kind);
   }
-  return free_map_slots_[n] > 0;
+  return free_slots_[static_cast<int>(kind)][n] > 0;
 }
 
-bool JobRun::reduce_slot_free(cluster::NodeId n) const {
-  if (env_.detector != nullptr && !env_.detector->schedulable(n))
-    return false;
+void JobRun::take_slot(SlotKind kind, cluster::NodeId n) {
   if (env_.slots != nullptr) {
-    return env_.slots->may_acquire(n, SlotKind::kReduce);
-  }
-  return free_reduce_slots_[n] > 0;
-}
-
-void JobRun::take_map_slot(cluster::NodeId n) {
-  if (env_.slots != nullptr) {
-    env_.slots->acquire(n, SlotKind::kMap);
+    env_.slots->acquire(n, kind);
   } else {
-    RCMP_CHECK(free_map_slots_[n] > 0);
-    --free_map_slots_[n];
+    std::uint32_t& free = free_slots_[static_cast<int>(kind)][n];
+    RCMP_CHECK(free > 0);
+    --free;
   }
 }
 
-void JobRun::take_reduce_slot(cluster::NodeId n) {
-  if (env_.slots != nullptr) {
-    env_.slots->acquire(n, SlotKind::kReduce);
-  } else {
-    RCMP_CHECK(free_reduce_slots_[n] > 0);
-    --free_reduce_slots_[n];
-  }
-}
-
-void JobRun::put_map_slot(cluster::NodeId n) {
+void JobRun::put_slot(SlotKind kind, cluster::NodeId n) {
   if (!env_.cluster.compute_alive(n)) return;
   if (env_.slots != nullptr) {
-    env_.slots->release(n, SlotKind::kMap);
+    env_.slots->release(n, kind);
   } else {
-    ++free_map_slots_[n];
+    ++free_slots_[static_cast<int>(kind)][n];
   }
 }
 
-void JobRun::put_reduce_slot(cluster::NodeId n) {
-  if (!env_.cluster.compute_alive(n)) return;
-  if (env_.slots != nullptr) {
-    env_.slots->release(n, SlotKind::kReduce);
-  } else {
-    ++free_reduce_slots_[n];
+void JobRun::credit_slots(cluster::NodeId n, bool full) {
+  if (env_.slots != nullptr) return;
+  const auto& spec = env_.cluster.spec();
+  free_slots_[static_cast<int>(SlotKind::kMap)][n] = full ? spec.map_slots : 0;
+  free_slots_[static_cast<int>(SlotKind::kReduce)][n] =
+      full ? spec.reduce_slots : 0;
+}
+
+cluster::NodeId JobRun::next_free_slot(SlotKind kind, cluster::NodeId avoid) {
+  for (std::uint32_t step = 0; step < env_.cluster.size(); ++step) {
+    const cluster::NodeId n = (rr_cursor_ + step) % env_.cluster.size();
+    if (n != avoid && env_.cluster.compute_alive(n) && slot_free(kind, n)) {
+      rr_cursor_ = n + 1;
+      return n;
+    }
   }
+  return cluster::kInvalidNode;
 }
 
 void JobRun::publish_demand() {
@@ -142,17 +136,11 @@ void JobRun::start() {
   build_reduce_tasks();
 
   map_node_banned_.assign(env_.cluster.size(), 0);
-  if (env_.slots == nullptr) {
-    // Sole tenant: credit this run every alive node's full complement.
-    free_map_slots_.assign(env_.cluster.size(), 0);
-    free_reduce_slots_.assign(env_.cluster.size(), 0);
-    for (cluster::NodeId n = 0; n < env_.cluster.size(); ++n) {
-      if (!env_.cluster.compute_alive(n) ||
-          !env_.cluster.is_compute_node(n))
-        continue;
-      free_map_slots_[n] = env_.cluster.spec().map_slots;
-      free_reduce_slots_[n] = env_.cluster.spec().reduce_slots;
-    }
+  // Sole tenant: credit this run every alive node's full complement.
+  for (auto& free : free_slots_) free.assign(env_.cluster.size(), 0);
+  for (cluster::NodeId n = 0; n < env_.cluster.size(); ++n) {
+    if (env_.cluster.compute_alive(n) && env_.cluster.is_compute_node(n))
+      credit_slots(n, /*full=*/true);
   }
 
   // Coalesced shuffle flush threshold: a fraction of the expected
@@ -160,7 +148,7 @@ void JobRun::start() {
   double total_out = 0.0;
   for (const MapTask& t : maps_) {
     total_out += t.state == MapState::kReused
-                     ? t.out_bytes
+                     ? t.run.out_bytes
                      : static_cast<double>(t.input_bytes) *
                            spec_.map_output_ratio;
   }
@@ -198,7 +186,7 @@ void JobRun::bootstrap() {
       } else if (env_.slots != nullptr) {
         map_node_banned_[n] = 1;
       } else {
-        free_map_slots_[n] = 0;
+        free_slots_[static_cast<int>(SlotKind::kMap)][n] = 0;
       }
     }
   }
@@ -215,6 +203,14 @@ void JobRun::build_map_tasks() {
   RCMP_CHECK_MSG(!spec_.inputs.empty(), "job has no inputs");
   RCMP_CHECK_MSG(spec_.inputs.size() <= 64,
                  "at most 64 input files per job");
+  // Runs stay alive until the simulation ends; size maps_ exactly.
+  std::size_t blocks = 0;
+  for (dfs::FileId file : spec_.inputs) {
+    for (std::uint32_t p = 0; p < env_.dfs.num_partitions(file); ++p) {
+      blocks += env_.dfs.partition(file, p).blocks.size();
+    }
+  }
+  maps_.reserve(blocks);
   for (std::uint32_t in = 0; in < spec_.inputs.size(); ++in) {
     const dfs::FileId file = spec_.inputs[in];
     const std::uint32_t nparts = env_.dfs.num_partitions(file);
@@ -239,8 +235,8 @@ void JobRun::build_map_tasks() {
             map_output_reusable(key, t.input_layout_version)) {
           const MapOutput* out = env_.map_outputs.find(key);
           t.state = MapState::kReused;
-          t.node = out->node;
-          t.out_bytes = out->total_bytes;
+          t.run.node = out->node;
+          t.run.out_bytes = out->total_bytes;
           if (env_.obs != nullptr) {
             env_.obs->check_reuse(obs::ReuseCheck{
                 spec_.logical_id, t.input_partition, t.block_index,
@@ -344,7 +340,7 @@ void JobRun::schedule_maps() {
        !cfg_.ignore_locality && n < env_.cluster.size(); ++n) {
     if (!env_.cluster.compute_alive(n)) continue;
     for (std::size_t i = 0;
-         i < pending_maps_.size() && map_slot_free(n);) {
+         i < pending_maps_.size() && slot_free(SlotKind::kMap, n);) {
       const std::uint32_t m = pending_maps_[i];
       const auto& reps = env_.dfs.block(maps_[m].block_id).replicas;
       if (std::find(reps.begin(), reps.end(), n) != reps.end()) {
@@ -362,16 +358,7 @@ void JobRun::schedule_maps() {
   // recomputation: every surviving node pulls its map input from the
   // single node holding the regenerated partition (paper Fig. 6).
   while (!pending_maps_.empty()) {
-    cluster::NodeId target = cluster::kInvalidNode;
-    for (std::uint32_t step = 0; step < env_.cluster.size(); ++step) {
-      const cluster::NodeId n =
-          (rr_cursor_ + step) % env_.cluster.size();
-      if (env_.cluster.compute_alive(n) && map_slot_free(n)) {
-        target = n;
-        rr_cursor_ = n + 1;
-        break;
-      }
-    }
+    const cluster::NodeId target = next_free_slot(SlotKind::kMap);
     if (target == cluster::kInvalidNode) break;
     const std::uint32_t m = pending_maps_.back();
     pending_maps_.pop_back();
@@ -404,16 +391,7 @@ void JobRun::schedule_reduces() {
 
   std::size_t head = 0;
   while (head < pending_reduces_.size()) {
-    cluster::NodeId target = cluster::kInvalidNode;
-    for (std::uint32_t step = 0; step < env_.cluster.size(); ++step) {
-      const cluster::NodeId n =
-          (rr_cursor_ + step) % env_.cluster.size();
-      if (env_.cluster.compute_alive(n) && reduce_slot_free(n)) {
-        target = n;
-        rr_cursor_ = n + 1;
-        break;
-      }
-    }
+    const cluster::NodeId target = next_free_slot(SlotKind::kReduce);
     if (target == cluster::kInvalidNode) break;
     assign_reduce(pending_reduces_[head], target);
     ++head;
@@ -428,24 +406,23 @@ void JobRun::schedule_reduces() {
 void JobRun::assign_map(std::uint32_t m, cluster::NodeId n) {
   MapTask& t = maps_[m];
   RCMP_CHECK(t.state == MapState::kPending);
-  take_map_slot(n);
-  t.node = n;
-  t.state = MapState::kStarting;
+  t.run = open_attempt(SlotKind::kMap, n);
+  t.state = MapState::kRunning;
   t.start_time = env_.sim.now();
   if (env_.obs != nullptr) {
     env_.obs->tracer.emit(env_.sim.now(), obs::EventType::kTaskStart,
                           obs::kKindMap, n, spec_.logical_id, m, 0.0,
                           env_.chain_tag);
   }
-  const std::uint32_t epoch = t.epoch;
-  t.ev = env_.sim.schedule_after(
-      cfg_.startup_cost(), [this, m, epoch] { map_startup_done(m, epoch); });
+  const std::uint32_t id = t.run.id;
+  t.run.ev = env_.sim.schedule_after(
+      cfg_.startup_cost(), [this, m, id] { map_startup_done(m, id); });
 }
 
 void JobRun::assign_reduce(std::uint32_t r, cluster::NodeId n) {
   ReduceTask& rt = reduces_[r];
   RCMP_CHECK(rt.state == ReduceState::kUnassigned);
-  take_reduce_slot(n);
+  take_slot(SlotKind::kReduce, n);
   rt.node = n;
   rt.state = ReduceState::kStarting;
   rt.start_time = env_.sim.now();
@@ -458,6 +435,50 @@ void JobRun::assign_reduce(std::uint32_t r, cluster::NodeId n) {
   rt.ev = env_.sim.schedule_after(cfg_.startup_cost(), [this, r, epoch] {
     reduce_startup_done(r, epoch);
   });
+}
+
+// ---------------------------------------------------------------------
+// attempts
+// ---------------------------------------------------------------------
+
+JobRun::Attempt JobRun::open_attempt(SlotKind kind, cluster::NodeId n) {
+  take_slot(kind, n);
+  Attempt a;
+  a.id = next_attempt_id_++;
+  a.node = n;
+  return a;
+}
+
+JobRun::Attempt* JobRun::find_attempt(std::uint32_t m, std::uint32_t id) {
+  MapTask& t = maps_[m];
+  if (state_ != RunState::kRunning) return nullptr;
+  if (t.run.id == id) return &t.run;
+  if (t.backup != nullptr && t.backup->id == id) return t.backup.get();
+  return nullptr;
+}
+
+void JobRun::cancel_attempt_work(Attempt& a) {
+  if (a.ev != sim::kInvalidEvent) {
+    env_.sim.cancel(a.ev);
+    a.ev = sim::kInvalidEvent;
+  }
+  if (a.flow != res::kInvalidFlow) {
+    env_.net.cancel_flow(a.flow);
+    a.flow = res::kInvalidFlow;
+  }
+  a.buckets.clear();
+}
+
+void JobRun::drop_backup(std::unique_ptr<Attempt>& backup, SlotKind kind) {
+  if (backup == nullptr) return;
+  cancel_attempt_work(*backup);
+  put_slot(kind, backup->node);
+  backup.reset();
+}
+
+void JobRun::drop_backups() {
+  for (MapTask& t : maps_) drop_backup(t.backup, SlotKind::kMap);
+  for (ReduceTask& rt : reduces_) drop_backup(rt.backup, SlotKind::kReduce);
 }
 
 // ---------------------------------------------------------------------
@@ -486,32 +507,38 @@ cluster::NodeId JobRun::pick_read_source(
   return best;
 }
 
-void JobRun::map_startup_done(std::uint32_t m, std::uint32_t epoch) {
-  MapTask& t = maps_[m];
-  if (state_ != RunState::kRunning || t.epoch != epoch) return;
-  RCMP_CHECK(t.state == MapState::kStarting);
-  t.ev = sim::kInvalidEvent;
-  start_map_read(m);
+void JobRun::map_startup_done(std::uint32_t m, std::uint32_t id) {
+  Attempt* a = find_attempt(m, id);
+  if (a == nullptr) return;
+  RCMP_CHECK(a->phase == Phase::kStarting);
+  a->ev = sim::kInvalidEvent;
+  start_map_read(m, *a);
 }
 
-void JobRun::start_map_read(std::uint32_t m) {
+void JobRun::start_map_read(std::uint32_t m, Attempt& a) {
   MapTask& t = maps_[m];
-  const auto all = env_.dfs.alive_locations(t.block_id);
-  if (all.empty()) {
+  const bool backup = &a != &t.run;
+  std::vector<cluster::NodeId> locs = env_.dfs.alive_locations(t.block_id);
+  if (locs.empty()) {
+    if (backup) {
+      drop_backup(t.backup, SlotKind::kMap);
+      return;
+    }
     // Input replica vanished between assignment and now; the Master has
     // not yet detected the failure. Freeze — the detection handler will
     // report the data loss.
     t.state = MapState::kFrozen;
-    t.read_src = cluster::kInvalidNode;
+    a.read_src = cluster::kInvalidNode;
     return;
   }
-  const std::vector<cluster::NodeId> locs =
-      env_.detector != nullptr ? serving_locations(t.block_id) : all;
+  if (!backup && env_.detector != nullptr) {
+    locs = serving_locations(t.block_id);
+  }
   if (locs.empty()) {
     // Replicas survive but none currently serves (suspected or
     // unreachable sources). Give the slot back and retry with backoff:
     // either the partition heals or detection replaces the replica.
-    put_map_slot(t.node);
+    put_slot(SlotKind::kMap, a.node);
     reset_map_task(m);
     if (exhausted_retry_budget_) {
       exhausted_retry_budget_ = false;
@@ -519,12 +546,16 @@ void JobRun::start_map_read(std::uint32_t m) {
     }
     return;
   }
-  const cluster::NodeId src = pick_read_source(locs, t.node);
-  t.read_src = src;
-  t.state = MapState::kReading;
-  const std::uint32_t epoch = t.epoch;
+  // Load-aware selection tends to send a backup to a different replica
+  // than its straggling running attempt — the benefit extra replicas buy
+  // speculation. With one replica the backup has no choice but the same
+  // (possibly slow) source.
+  const cluster::NodeId src = pick_read_source(locs, a.node);
+  a.read_src = src;
+  a.phase = Phase::kReading;
+  const std::uint32_t id = a.id;
   res::FlowSpec fs;
-  auto path = env_.cluster.path_transfer(src, t.node,
+  auto path = env_.cluster.path_transfer(src, a.node,
                                          /*read_src=*/true,
                                          /*write_dst=*/false,
                                          env_.dfs.block(t.block_id).tier,
@@ -532,54 +563,54 @@ void JobRun::start_map_read(std::uint32_t m) {
   fs.path = std::move(path.links);
   fs.weights = std::move(path.weights);
   fs.bytes = t.input_bytes;
-  fs.on_complete = [this, m, epoch] { map_read_done(m, epoch); };
-  t.flow = env_.net.start_flow(std::move(fs));
+  fs.on_complete = [this, m, id] { map_read_done(m, id); };
+  a.flow = env_.net.start_flow(std::move(fs));
 }
 
-void JobRun::map_read_done(std::uint32_t m, std::uint32_t epoch) {
-  MapTask& t = maps_[m];
-  if (state_ != RunState::kRunning || t.epoch != epoch) return;
-  RCMP_CHECK(t.state == MapState::kReading);
-  t.flow = res::kInvalidFlow;
+void JobRun::map_read_done(std::uint32_t m, std::uint32_t id) {
+  Attempt* a = find_attempt(m, id);
+  if (a == nullptr) return;
+  RCMP_CHECK(a->phase == Phase::kReading);
+  a->flow = res::kInvalidFlow;
   if (cfg_.verify_on_read && map_input_corrupt(m)) {
     handle_corrupt_input(m);
     return;
   }
-  t.state = MapState::kComputing;
-  const SimTime dt = static_cast<double>(t.input_bytes) /
+  a->phase = Phase::kComputing;
+  const SimTime dt = static_cast<double>(maps_[m].input_bytes) /
                      cfg_.map_cpu_rate *
-                     env_.cluster.cpu_factor(t.node);
-  t.ev = env_.sim.schedule_after(
-      dt, [this, m, epoch] { map_compute_done(m, epoch); });
+                     env_.cluster.cpu_factor(a->node);
+  a->ev = env_.sim.schedule_after(
+      dt, [this, m, id] { map_compute_done(m, id); });
 }
 
-void JobRun::map_compute_done(std::uint32_t m, std::uint32_t epoch) {
-  MapTask& t = maps_[m];
-  if (state_ != RunState::kRunning || t.epoch != epoch) return;
-  RCMP_CHECK(t.state == MapState::kComputing);
-  t.ev = sim::kInvalidEvent;
+void JobRun::map_compute_done(std::uint32_t m, std::uint32_t id) {
+  Attempt* a = find_attempt(m, id);
+  if (a == nullptr) return;
+  RCMP_CHECK(a->phase == Phase::kComputing);
+  a->ev = sim::kInvalidEvent;
 
   if (payload_mode_) {
     MapOutput staged;  // only buckets are used from this staging object
     run_map_udf(m, staged);
     std::uint64_t records = 0;
     for (const auto& b : staged.buckets) records += b.size();
-    t.out_bytes =
+    a->out_bytes =
         static_cast<double>(records) * static_cast<double>(cfg_.record_bytes);
-    staged_buckets_[m] = std::move(staged.buckets);
+    a->buckets = std::move(staged.buckets);
   } else {
-    t.out_bytes =
-        static_cast<double>(t.input_bytes) * spec_.map_output_ratio;
+    a->out_bytes =
+        static_cast<double>(maps_[m].input_bytes) * spec_.map_output_ratio;
   }
 
-  t.state = MapState::kWriting;
+  a->phase = Phase::kWriting;
   res::FlowSpec fs;
-  auto path = env_.cluster.path_tier_write(t.node, map_output_tier());
+  auto path = env_.cluster.path_tier_write(a->node, map_output_tier());
   fs.path = std::move(path.links);
   fs.weights = std::move(path.weights);
-  fs.bytes = round_bytes(t.out_bytes);
-  fs.on_complete = [this, m, epoch] { map_write_done(m, epoch); };
-  t.flow = env_.net.start_flow(std::move(fs));
+  fs.bytes = round_bytes(a->out_bytes);
+  fs.on_complete = [this, m, id] { map_write_done(m, id); };
+  a->flow = env_.net.start_flow(std::move(fs));
 }
 
 cluster::StorageTier JobRun::map_output_tier() const {
@@ -605,26 +636,38 @@ void JobRun::run_map_udf(std::uint32_t m, MapOutput& out) const {
   }
 }
 
-void JobRun::map_write_done(std::uint32_t m, std::uint32_t epoch) {
+void JobRun::map_write_done(std::uint32_t m, std::uint32_t id) {
+  Attempt* a = find_attempt(m, id);
+  if (a == nullptr) return;
+  RCMP_CHECK(a->phase == Phase::kWriting);
+  a->flow = res::kInvalidFlow;
   MapTask& t = maps_[m];
-  if (state_ != RunState::kRunning || t.epoch != epoch) return;
-  RCMP_CHECK(t.state == MapState::kWriting);
-  t.flow = res::kInvalidFlow;
+  if (a != &t.run) {
+    // The backup won the race: stop the straggling running attempt,
+    // return its slot, and continue in the backup's slot and node.
+    RCMP_CHECK(t.state == MapState::kRunning &&
+               t.run.phase != Phase::kStarting);
+    cancel_attempt_work(t.run);
+    put_slot(SlotKind::kMap, t.run.node);
+    t.run = std::move(*t.backup);
+    t.backup.reset();
+    ++result_.speculative_won;
+  }
   complete_map_task(m);
 }
 
 void JobRun::complete_map_task(std::uint32_t m) {
   MapTask& t = maps_[m];
-  cancel_duplicate(m);  // the original won (or the winner adopted t)
+  drop_backup(t.backup, SlotKind::kMap);  // the running attempt won
   register_map_output(m);
   t.state = MapState::kDone;
   t.end_time = env_.sim.now();
   t.executed = true;
   t.spurious = false;  // a committed replacement supersedes the old copy
-  t.read_src = cluster::kInvalidNode;
+  t.run.read_src = cluster::kInvalidNode;
   if (env_.obs != nullptr) {
     env_.obs->tracer.emit(t.end_time, obs::EventType::kTaskFinish,
-                          obs::kKindMap, t.node, spec_.logical_id, m,
+                          obs::kKindMap, t.run.node, spec_.logical_id, m,
                           t.end_time - t.start_time, env_.chain_tag);
   }
   completed_map_time_sum_ += t.end_time - t.start_time;
@@ -632,7 +675,7 @@ void JobRun::complete_map_task(std::uint32_t m) {
   RCMP_CHECK(maps_remaining_ > 0);
   --maps_remaining_;
   ++result_.mappers_executed;
-  put_map_slot(t.node);
+  put_slot(SlotKind::kMap, t.run.node);
   on_mapper_available(m);
   schedule_tasks();
   on_map_phase_maybe_done();
@@ -641,14 +684,12 @@ void JobRun::complete_map_task(std::uint32_t m) {
 void JobRun::register_map_output(std::uint32_t m) {
   MapTask& t = maps_[m];
   MapOutput out;
-  out.node = t.node;
+  out.node = t.run.node;
   out.input_layout_version = t.input_layout_version;
-  out.total_bytes = t.out_bytes;
+  out.total_bytes = t.run.out_bytes;
   if (payload_mode_) {
-    auto it = staged_buckets_.find(m);
-    RCMP_CHECK(it != staged_buckets_.end());
-    out.buckets = std::move(it->second);
-    staged_buckets_.erase(it);
+    RCMP_CHECK(t.run.buckets.size() == spec_.num_reducers);
+    out.buckets = std::exchange(t.run.buckets, {});
     out.per_reducer_bytes.resize(spec_.num_reducers);
     for (std::uint32_t p = 0; p < spec_.num_reducers; ++p) {
       out.per_reducer_bytes[p] =
@@ -657,7 +698,7 @@ void JobRun::register_map_output(std::uint32_t m) {
     }
   } else {
     out.per_reducer_bytes.assign(
-        spec_.num_reducers, t.out_bytes / spec_.num_reducers);
+        spec_.num_reducers, t.run.out_bytes / spec_.num_reducers);
   }
   out.tier = map_output_tier();
   const auto key = t.key(spec_.logical_id);
@@ -676,16 +717,16 @@ void JobRun::on_mapper_available(std::uint32_t m) {
 }
 
 void JobRun::reset_map_task(std::uint32_t m) {
-  cancel_duplicate(m);
   MapTask& t = maps_[m];
+  drop_backup(t.backup, SlotKind::kMap);
   if (env_.obs != nullptr) {
     env_.obs->tracer.emit(env_.sim.now(), obs::EventType::kTaskReexec,
-                          obs::kKindMap, t.node, spec_.logical_id, m, 0.0,
-                          env_.chain_tag);
+                          obs::kKindMap, t.run.node, spec_.logical_id, m,
+                          0.0, env_.chain_tag);
   }
   const bool was_available =
       t.state == MapState::kDone || t.state == MapState::kReused;
-  cancel_task_work(t);
+  cancel_attempt_work(t.run);
   if (was_available) {
     const MapOutput* out = env_.map_outputs.find(t.key(spec_.logical_id));
     const bool intact = out != nullptr && !out->lost &&
@@ -703,10 +744,8 @@ void JobRun::reset_map_task(std::uint32_t m) {
   if (was_available) ++maps_remaining_;
   if (!charge_attempt(t.attempts, t.not_before))
     exhausted_retry_budget_ = true;
-  ++t.epoch;
   t.state = MapState::kPending;
-  t.node = cluster::kInvalidNode;
-  t.read_src = cluster::kInvalidNode;
+  t.run = Attempt{};  // the retry opens a fresh attempt
   pending_maps_.push_back(m);
 }
 
@@ -732,176 +771,36 @@ void JobRun::speculation_check() {
   const double threshold = cfg_.speculative_slowness * avg;
 
   for (std::uint32_t m = 0; m < maps_.size(); ++m) {
-    const MapTask& t = maps_[m];
-    const bool running = t.state == MapState::kReading ||
-                         t.state == MapState::kComputing ||
-                         t.state == MapState::kWriting;
-    if (!running) continue;
+    MapTask& t = maps_[m];
+    if (t.state != MapState::kRunning || t.run.phase == Phase::kStarting)
+      continue;
     if (env_.sim.now() - t.start_time <= threshold) continue;
-    if (duplicates_.count(m) > 0) continue;
-
-    // Find a free map slot on a different node.
-    cluster::NodeId target = cluster::kInvalidNode;
-    for (std::uint32_t step = 0; step < env_.cluster.size(); ++step) {
-      const cluster::NodeId n = (rr_cursor_ + step) % env_.cluster.size();
-      if (n != t.node && env_.cluster.compute_alive(n) &&
-          map_slot_free(n)) {
-        target = n;
-        rr_cursor_ = n + 1;
-        break;
-      }
-    }
+    if (t.backup != nullptr) continue;
+    const cluster::NodeId target = next_free_slot(SlotKind::kMap, t.run.node);
     if (target == cluster::kInvalidNode) continue;
-    launch_duplicate(m, target);
+    t.backup = std::make_unique<Attempt>(open_attempt(SlotKind::kMap, target));
+    const std::uint32_t id = t.backup->id;
+    t.backup->ev = env_.sim.schedule_after(
+        cfg_.startup_cost(), [this, m, id] { map_startup_done(m, id); });
+    ++result_.speculative_launched;
   }
-}
-
-void JobRun::launch_duplicate(std::uint32_t m, cluster::NodeId node) {
-  take_map_slot(node);
-  Duplicate dup;
-  dup.token = next_dup_token_++;
-  dup.node = node;
-  dup.state = MapState::kStarting;
-  const std::uint64_t token = dup.token;
-  dup.ev = env_.sim.schedule_after(
-      cfg_.startup_cost(), [this, m, token] { dup_startup_done(m, token); });
-  duplicates_[m] = std::move(dup);
-  ++result_.speculative_launched;
-  RCMP_DEBUG() << "t=" << env_.sim.now() << " speculating mapper " << m
-               << " on node " << node;
-}
-
-JobRun::Duplicate* JobRun::find_dup(std::uint32_t m, std::uint64_t token) {
-  auto it = duplicates_.find(m);
-  if (it == duplicates_.end() || it->second.token != token) return nullptr;
-  return &it->second;
-}
-
-void JobRun::dup_startup_done(std::uint32_t m, std::uint64_t token) {
-  Duplicate* dup = find_dup(m, token);
-  if (dup == nullptr || state_ != RunState::kRunning) return;
-  dup->ev = sim::kInvalidEvent;
-
-  const MapTask& t = maps_[m];
-  const auto locs = env_.dfs.alive_locations(t.block_id);
-  if (locs.empty()) {
-    cancel_duplicate(m);
-    return;
-  }
-  // Load-aware selection naturally sends the duplicate to a different
-  // replica than the straggling original — the benefit extra replicas
-  // buy speculation. With one replica the duplicate has no choice but
-  // the same (possibly slow) source.
-  const cluster::NodeId src = pick_read_source(locs, dup->node);
-  dup->state = MapState::kReading;
-  res::FlowSpec fs;
-  auto path = env_.cluster.path_transfer(src, dup->node,
-                                         /*read_src=*/true,
-                                         /*write_dst=*/false,
-                                         env_.dfs.block(t.block_id).tier,
-                                         cluster::StorageTier::kDisk);
-  fs.path = std::move(path.links);
-  fs.weights = std::move(path.weights);
-  fs.bytes = t.input_bytes;
-  fs.on_complete = [this, m, token] { dup_read_done(m, token); };
-  dup->flow = env_.net.start_flow(std::move(fs));
-}
-
-void JobRun::dup_read_done(std::uint32_t m, std::uint64_t token) {
-  Duplicate* dup = find_dup(m, token);
-  if (dup == nullptr || state_ != RunState::kRunning) return;
-  dup->flow = res::kInvalidFlow;
-  if (cfg_.verify_on_read && map_input_corrupt(m)) {
-    handle_corrupt_input(m);
-    return;
-  }
-  dup->state = MapState::kComputing;
-  const SimTime dt = static_cast<double>(maps_[m].input_bytes) /
-                     cfg_.map_cpu_rate *
-                     env_.cluster.cpu_factor(dup->node);
-  dup->ev = env_.sim.schedule_after(
-      dt, [this, m, token] { dup_compute_done(m, token); });
-}
-
-void JobRun::dup_compute_done(std::uint32_t m, std::uint64_t token) {
-  Duplicate* dup = find_dup(m, token);
-  if (dup == nullptr || state_ != RunState::kRunning) return;
-  dup->ev = sim::kInvalidEvent;
-
-  const MapTask& t = maps_[m];
-  if (payload_mode_) {
-    MapOutput staged;
-    run_map_udf(m, staged);
-    std::uint64_t records = 0;
-    for (const auto& b : staged.buckets) records += b.size();
-    dup->out_bytes = static_cast<double>(records) *
-                     static_cast<double>(cfg_.record_bytes);
-    dup->staged_buckets = std::move(staged.buckets);
-  } else {
-    dup->out_bytes =
-        static_cast<double>(t.input_bytes) * spec_.map_output_ratio;
-  }
-  dup->state = MapState::kWriting;
-  res::FlowSpec fs;
-  auto path = env_.cluster.path_tier_write(dup->node, map_output_tier());
-  fs.path = std::move(path.links);
-  fs.weights = std::move(path.weights);
-  fs.bytes = round_bytes(dup->out_bytes);
-  fs.on_complete = [this, m, token] { dup_write_done(m, token); };
-  dup->flow = env_.net.start_flow(std::move(fs));
-}
-
-void JobRun::dup_write_done(std::uint32_t m, std::uint64_t token) {
-  Duplicate* dup = find_dup(m, token);
-  if (dup == nullptr || state_ != RunState::kRunning) return;
-  dup->flow = res::kInvalidFlow;
-
-  // The duplicate won the race: it becomes the task's execution. Stop
-  // the straggling original and adopt the duplicate's node/output.
-  MapTask& t = maps_[m];
-  RCMP_CHECK(t.state == MapState::kReading ||
-             t.state == MapState::kComputing ||
-             t.state == MapState::kWriting);
-  cancel_task_work(t);
-  put_map_slot(t.node);
-  t.node = dup->node;
-  t.out_bytes = dup->out_bytes;
-  if (payload_mode_) {
-    staged_buckets_[m] = std::move(dup->staged_buckets);
-  }
-  ++result_.speculative_won;
-  RCMP_DEBUG() << "t=" << env_.sim.now() << " speculative copy of mapper "
-               << m << " won on node " << t.node;
-  // complete_map_task() erases the duplicate entry (without refunding
-  // the slot twice: the task now occupies the duplicate's slot).
-  duplicates_.erase(m);
-  complete_map_task(m);
-}
-
-void JobRun::cancel_duplicate(std::uint32_t m) {
-  auto it = duplicates_.find(m);
-  if (it == duplicates_.end()) return;
-  Duplicate& dup = it->second;
-  if (dup.ev != sim::kInvalidEvent) env_.sim.cancel(dup.ev);
-  if (dup.flow != res::kInvalidFlow) env_.net.cancel_flow(dup.flow);
-  put_map_slot(dup.node);
-  duplicates_.erase(it);
 }
 
 // Reducer speculation: only the compute phase races (the fetched bytes
-// are re-pulled from the original's local disk rather than re-shuffled
-// from every mapper, like Hadoop's reduce-side speculation shortcut in
-// spirit: the expensive part a straggling reducer repeats is compute).
+// are re-pulled from the running attempt's local disk rather than
+// re-shuffled from every mapper, like Hadoop's reduce-side speculation
+// shortcut in spirit: the expensive part a straggling reducer repeats is
+// compute).
 void JobRun::speculate_reducers() {
   if (completed_reduce_count_ < cfg_.speculative_min_completed) return;
   const double avg = completed_reduce_time_sum_ / completed_reduce_count_;
   const double threshold = cfg_.speculative_slowness * avg;
 
   for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
-    const ReduceTask& rt = reduces_[r];
+    ReduceTask& rt = reduces_[r];
     if (rt.state != ReduceState::kComputing) continue;
     if (env_.sim.now() - rt.start_time <= threshold) continue;
-    if (reduce_duplicates_.count(r) > 0) continue;
+    if (rt.backup != nullptr) continue;
     if (env_.reduce_spec_gate) {
       ReduceSpecCandidate cand;
       cand.reducer = r;
@@ -911,117 +810,70 @@ void JobRun::speculate_reducers() {
       cand.startup_cost = cfg_.startup_cost();
       if (!env_.reduce_spec_gate(cand)) continue;
     }
-
-    cluster::NodeId target = cluster::kInvalidNode;
-    for (std::uint32_t step = 0; step < env_.cluster.size(); ++step) {
-      const cluster::NodeId n = (rr_cursor_ + step) % env_.cluster.size();
-      if (n != rt.node && env_.cluster.compute_alive(n) &&
-          reduce_slot_free(n)) {
-        target = n;
-        rr_cursor_ = n + 1;
-        break;
-      }
-    }
+    const cluster::NodeId target = next_free_slot(SlotKind::kReduce, rt.node);
     if (target == cluster::kInvalidNode) continue;
-    launch_reduce_duplicate(r, target);
+    rt.backup =
+        std::make_unique<Attempt>(open_attempt(SlotKind::kReduce, target));
+    const std::uint32_t id = rt.backup->id;
+    rt.backup->ev = env_.sim.schedule_after(
+        cfg_.startup_cost(), [this, r, id] { reduce_backup_step(r, id); });
+    ++result_.speculative_launched;
   }
 }
 
-void JobRun::launch_reduce_duplicate(std::uint32_t r,
-                                     cluster::NodeId node) {
-  take_reduce_slot(node);
-  ReduceDuplicate dup;
-  dup.token = next_dup_token_++;
-  dup.node = node;
-  const std::uint64_t token = dup.token;
-  dup.ev = env_.sim.schedule_after(cfg_.startup_cost(), [this, r, token] {
-    rdup_startup_done(r, token);
-  });
-  reduce_duplicates_[r] = std::move(dup);
-  ++result_.speculative_launched;
-  RCMP_DEBUG() << "t=" << env_.sim.now() << " speculating reducer " << r
-               << " on node " << node;
-}
-
-JobRun::ReduceDuplicate* JobRun::find_rdup(std::uint32_t r,
-                                           std::uint64_t token) {
-  auto it = reduce_duplicates_.find(r);
-  if (it == reduce_duplicates_.end() || it->second.token != token)
-    return nullptr;
-  return &it->second;
-}
-
-void JobRun::rdup_startup_done(std::uint32_t r, std::uint64_t token) {
-  ReduceDuplicate* dup = find_rdup(r, token);
-  if (dup == nullptr || state_ != RunState::kRunning) return;
-  dup->ev = sim::kInvalidEvent;
-  const ReduceTask& rt = reduces_[r];
-  if (rt.state != ReduceState::kComputing) {
-    cancel_reduce_duplicate(r);
-    return;
-  }
-  // Re-pull the already-shuffled bytes from the original's staging area
-  // (its local disk, or its RAM when the job shuffles in memory).
-  res::FlowSpec fs;
-  auto path = env_.cluster.path_transfer(rt.node, dup->node,
-                                         /*read_src=*/true,
-                                         /*write_dst=*/true,
-                                         map_output_tier(),
-                                         map_output_tier());
-  fs.path = std::move(path.links);
-  fs.weights = std::move(path.weights);
-  fs.bytes = round_bytes(rt.fetched_bytes);
-  fs.on_complete = [this, r, token] { rdup_pull_done(r, token); };
-  dup->flow = env_.net.start_flow(std::move(fs));
-}
-
-void JobRun::rdup_pull_done(std::uint32_t r, std::uint64_t token) {
-  ReduceDuplicate* dup = find_rdup(r, token);
-  if (dup == nullptr || state_ != RunState::kRunning) return;
-  dup->flow = res::kInvalidFlow;
-  const ReduceTask& rt = reduces_[r];
-  if (rt.state != ReduceState::kComputing) {
-    cancel_reduce_duplicate(r);
-    return;
-  }
-  // No tail debt: the per-segment fetch latency was paid once by the
-  // original; the duplicate streams one consolidated spill file.
-  const SimTime dt = rt.fetched_bytes / cfg_.reduce_cpu_rate *
-                     env_.cluster.cpu_factor(dup->node);
-  dup->ev = env_.sim.schedule_after(
-      dt, [this, r, token] { rdup_compute_done(r, token); });
-}
-
-void JobRun::rdup_compute_done(std::uint32_t r, std::uint64_t token) {
-  ReduceDuplicate* dup = find_rdup(r, token);
-  if (dup == nullptr || state_ != RunState::kRunning) return;
-  dup->ev = sim::kInvalidEvent;
+void JobRun::reduce_backup_step(std::uint32_t r, std::uint32_t id) {
   ReduceTask& rt = reduces_[r];
-  RCMP_CHECK(rt.state == ReduceState::kComputing);
-  // The duplicate finished its compute first: stop the straggling
-  // original and write the output from the duplicate's node.
-  if (rt.ev != sim::kInvalidEvent) {
-    env_.sim.cancel(rt.ev);
-    rt.ev = sim::kInvalidEvent;
+  if (state_ != RunState::kRunning || rt.backup == nullptr ||
+      rt.backup->id != id)
+    return;
+  Attempt& b = *rt.backup;
+  b.ev = sim::kInvalidEvent;
+  b.flow = res::kInvalidFlow;
+  if (b.phase == Phase::kComputing) {
+    // The backup finished its compute first: stop the straggling running
+    // attempt, return its slot, and write the output from the backup's
+    // node, in the backup's slot.
+    RCMP_CHECK(rt.state == ReduceState::kComputing);
+    if (rt.ev != sim::kInvalidEvent) {
+      env_.sim.cancel(rt.ev);
+      rt.ev = sim::kInvalidEvent;
+    }
+    put_slot(SlotKind::kReduce, rt.node);
+    rt.node = b.node;
+    rt.backup.reset();
+    ++result_.speculative_won;
+    finish_reduce_compute(r);
+    return;
   }
-  put_reduce_slot(rt.node);
-  rt.node = dup->node;
-  ++result_.speculative_won;
-  RCMP_DEBUG() << "t=" << env_.sim.now() << " speculative copy of reducer "
-               << r << " won on node " << rt.node;
-  // The task now occupies the duplicate's slot; no double refund.
-  reduce_duplicates_.erase(r);
-  finish_reduce_compute(r);
-}
-
-void JobRun::cancel_reduce_duplicate(std::uint32_t r) {
-  auto it = reduce_duplicates_.find(r);
-  if (it == reduce_duplicates_.end()) return;
-  ReduceDuplicate& dup = it->second;
-  if (dup.ev != sim::kInvalidEvent) env_.sim.cancel(dup.ev);
-  if (dup.flow != res::kInvalidFlow) env_.net.cancel_flow(dup.flow);
-  put_reduce_slot(dup.node);
-  reduce_duplicates_.erase(it);
+  if (rt.state != ReduceState::kComputing) {
+    drop_backup(rt.backup, SlotKind::kReduce);
+    return;
+  }
+  if (b.phase == Phase::kStarting) {
+    // Re-pull the already-shuffled bytes from the running attempt's
+    // staging area (its local disk, or its RAM when the job shuffles in
+    // memory).
+    b.phase = Phase::kReading;
+    res::FlowSpec fs;
+    auto path = env_.cluster.path_transfer(rt.node, b.node,
+                                           /*read_src=*/true,
+                                           /*write_dst=*/true,
+                                           map_output_tier(),
+                                           map_output_tier());
+    fs.path = std::move(path.links);
+    fs.weights = std::move(path.weights);
+    fs.bytes = round_bytes(rt.fetched_bytes);
+    fs.on_complete = [this, r, id] { reduce_backup_step(r, id); };
+    b.flow = env_.net.start_flow(std::move(fs));
+    return;
+  }
+  // Pulled. No tail debt: the per-segment fetch latency was paid once by
+  // the running attempt; the backup streams one consolidated spill file.
+  b.phase = Phase::kComputing;
+  const SimTime dt = rt.fetched_bytes / cfg_.reduce_cpu_rate *
+                     env_.cluster.cpu_factor(b.node);
+  b.ev = env_.sim.schedule_after(
+      dt, [this, r, id] { reduce_backup_step(r, id); });
 }
 
 void JobRun::on_map_phase_maybe_done() {
@@ -1272,7 +1124,7 @@ void JobRun::reduce_compute_done(std::uint32_t r, std::uint32_t epoch) {
   if (state_ != RunState::kRunning || rt.epoch != epoch) return;
   RCMP_CHECK(rt.state == ReduceState::kComputing);
   rt.ev = sim::kInvalidEvent;
-  cancel_reduce_duplicate(r);  // the original won the race (if any)
+  drop_backup(rt.backup, SlotKind::kReduce);  // the running attempt won
   finish_reduce_compute(r);
 }
 
@@ -1396,14 +1248,14 @@ void JobRun::reduce_done(std::uint32_t r) {
   ++completed_reduce_count_;
   RCMP_CHECK(reduces_remaining_ > 0);
   --reduces_remaining_;
-  put_reduce_slot(rt.node);
+  put_slot(SlotKind::kReduce, rt.node);
   schedule_tasks();
   maybe_finish();
 }
 
 void JobRun::reset_reduce_task(std::uint32_t r) {
-  cancel_reduce_duplicate(r);
   ReduceTask& rt = reduces_[r];
+  drop_backup(rt.backup, SlotKind::kReduce);
   RCMP_CHECK(rt.state != ReduceState::kDone);
   if (env_.obs != nullptr) {
     env_.obs->tracer.emit(env_.sim.now(), obs::EventType::kTaskReexec,
@@ -1454,30 +1306,26 @@ void JobRun::on_node_killed(cluster::NodeId n) {
 
 void JobRun::on_compute_failed(cluster::NodeId n) {
   if (state_ != RunState::kRunning) return;
-  if (env_.slots == nullptr) {
-    free_map_slots_[n] = 0;
-    free_reduce_slots_[n] = 0;
-  }
   // Broker mode: the shared scheduler's own failure handler (registered
   // before any chain's) already zeroed the node's inventory and
   // forfeited every slot held there.
+  freeze_tasks_on(n, /*suspected=*/false);
+}
 
-  // Drop all speculative duplicates: any of them may have been running
-  // on, or reading from, the dead node. Speculation re-arms later.
-  std::vector<std::uint32_t> dup_tasks;
-  for (const auto& [m, dup] : duplicates_) dup_tasks.push_back(m);
-  for (std::uint32_t m : dup_tasks) cancel_duplicate(m);
-  std::vector<std::uint32_t> rdup_tasks;
-  for (const auto& [r, dup] : reduce_duplicates_) rdup_tasks.push_back(r);
-  for (std::uint32_t r : rdup_tasks) cancel_reduce_duplicate(r);
-
+void JobRun::freeze_tasks_on(cluster::NodeId n, bool suspected) {
+  credit_slots(n, /*full=*/false);
+  // Drop every backup: any of them may be running on, or reading from,
+  // node n. Speculation re-arms later.
+  drop_backups();
+  // Unlike a real compute failure, the broker never saw a cluster event
+  // for a suspicion: hand each frozen task's slot back explicitly
+  // (may_acquire's detector gate keeps it off node n).
+  const bool release = suspected && env_.slots != nullptr;
   for (auto& t : maps_) {
-    if (t.node == n &&
-        (t.state == MapState::kStarting || t.state == MapState::kReading ||
-         t.state == MapState::kComputing ||
-         t.state == MapState::kWriting)) {
-      cancel_task_work(t);
+    if (t.run.node == n && t.state == MapState::kRunning) {
+      cancel_attempt_work(t.run);
       t.state = MapState::kFrozen;
+      if (release) env_.slots->release(n, SlotKind::kMap);
       blame_node(n);
     }
   }
@@ -1491,6 +1339,7 @@ void JobRun::on_compute_failed(cluster::NodeId n) {
       cancel_task_work(rt);
       cancel_fetches_of_reducer(r);
       rt.state = ReduceState::kFrozen;
+      if (release) env_.slots->release(n, SlotKind::kReduce);
       blame_node(n);
     }
   }
@@ -1524,10 +1373,7 @@ void JobRun::on_node_recovered(cluster::NodeId n) {
   // The node rejoins with an empty disk and full slots; pending work can
   // land on it immediately, and its disk becomes a write target again.
   // (Broker mode: the shared scheduler refilled the node's inventory.)
-  if (env_.slots == nullptr) {
-    free_map_slots_[n] = env_.cluster.spec().map_slots;
-    free_reduce_slots_[n] = env_.cluster.spec().reduce_slots;
-  }
+  credit_slots(n, /*full=*/true);
   // Writes that stalled because no storage target survived can resume
   // against the rejoined disk.
   for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
@@ -1719,47 +1565,7 @@ void JobRun::halt_fetches_from(cluster::NodeId n) {
 
 void JobRun::on_suspected(cluster::NodeId n) {
   if (state_ != RunState::kRunning) return;
-  if (env_.slots == nullptr) {
-    free_map_slots_[n] = 0;
-    free_reduce_slots_[n] = 0;
-  }
-  // Drop all speculative duplicates: any of them may be running on, or
-  // reading from, the suspected node (mirrors on_compute_failed).
-  std::vector<std::uint32_t> dup_tasks;
-  for (const auto& [m, dup] : duplicates_) dup_tasks.push_back(m);
-  for (std::uint32_t m : dup_tasks) cancel_duplicate(m);
-  std::vector<std::uint32_t> rdup_tasks;
-  for (const auto& [r, dup] : reduce_duplicates_) rdup_tasks.push_back(r);
-  for (std::uint32_t r : rdup_tasks) cancel_reduce_duplicate(r);
-
-  for (auto& t : maps_) {
-    if (t.node == n &&
-        (t.state == MapState::kStarting || t.state == MapState::kReading ||
-         t.state == MapState::kComputing ||
-         t.state == MapState::kWriting)) {
-      cancel_task_work(t);
-      t.state = MapState::kFrozen;
-      // Unlike a real compute failure, the broker never saw a cluster
-      // event for a suspicion: hand the frozen task's slot back
-      // explicitly (may_acquire's detector gate keeps it off node n).
-      if (env_.slots != nullptr) env_.slots->release(n, SlotKind::kMap);
-      blame_node(n);
-    }
-  }
-  for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
-    ReduceTask& rt = reduces_[r];
-    if (rt.node == n &&
-        (rt.state == ReduceState::kStarting ||
-         rt.state == ReduceState::kFetching ||
-         rt.state == ReduceState::kComputing ||
-         rt.state == ReduceState::kWriting)) {
-      cancel_task_work(rt);
-      cancel_fetches_of_reducer(r);
-      rt.state = ReduceState::kFrozen;
-      if (env_.slots != nullptr) env_.slots->release(n, SlotKind::kReduce);
-      blame_node(n);
-    }
-  }
+  freeze_tasks_on(n, /*suspected=*/true);
   // Suspicion is a master-side belief: in-flight writes TO the node
   // physically proceed, but nothing new fetches FROM it.
   halt_fetches_from(n);
@@ -1770,10 +1576,8 @@ void JobRun::on_node_reconciled(cluster::NodeId n) {
   // The suspicion zeroed the node's private slot complement; restore it
   // (broker mode: the shared inventory was never touched — the
   // may_acquire gate simply lifts once the detector clears n).
-  if (env_.slots == nullptr && env_.cluster.compute_alive(n) &&
-      env_.cluster.is_compute_node(n)) {
-    free_map_slots_[n] = env_.cluster.spec().map_slots;
-    free_reduce_slots_[n] = env_.cluster.spec().reduce_slots;
+  if (env_.cluster.compute_alive(n) && env_.cluster.is_compute_node(n)) {
+    credit_slots(n, /*full=*/true);
   }
   // Readopt persisted outputs whose spurious re-execution has not
   // committed yet: cancel the replacement work and restore the task to
@@ -1788,18 +1592,17 @@ void JobRun::on_node_reconciled(cluster::NodeId n) {
     }
     const MapOutput* out = env_.map_outputs.find(t.key(spec_.logical_id));
     if (out == nullptr || out->lost || !source_serving(out->node)) continue;
-    cancel_duplicate(m);
+    drop_backup(t.backup, SlotKind::kMap);
     if (t.state == MapState::kPending) {
       auto it = std::find(pending_maps_.begin(), pending_maps_.end(), m);
       if (it != pending_maps_.end()) pending_maps_.erase(it);
     } else if (t.state != MapState::kFrozen) {  // frozen holds no slot
-      cancel_task_work(t);
-      put_map_slot(t.node);
+      cancel_attempt_work(t.run);
+      put_slot(SlotKind::kMap, t.run.node);
     }
-    ++t.epoch;
     t.state = t.executed ? MapState::kDone : MapState::kReused;
-    t.node = out->node;
-    t.read_src = cluster::kInvalidNode;
+    t.run = Attempt{};
+    t.run.node = out->node;
     t.spurious = false;
     RCMP_CHECK(maps_remaining_ > 0);
     --maps_remaining_;
@@ -1818,24 +1621,24 @@ void JobRun::on_source_unreachable(cluster::NodeId n) {
   // In-flight input reads sourced at n fail over to a serving replica
   // (or requeue with backoff if none serves right now).
   for (std::uint32_t m = 0; m < maps_.size(); ++m) {
-    MapTask& t = maps_[m];
-    if (t.state == MapState::kReading && t.read_src == n) {
-      if (t.flow != res::kInvalidFlow) {
-        env_.net.cancel_flow(t.flow);
-        t.flow = res::kInvalidFlow;
+    Attempt& a = maps_[m].run;
+    if (maps_[m].state == MapState::kRunning &&
+        a.phase == Phase::kReading && a.read_src == n) {
+      if (a.flow != res::kInvalidFlow) {
+        env_.net.cancel_flow(a.flow);
+        a.flow = res::kInvalidFlow;
       }
       blame_node(n);
-      start_map_read(m);
+      start_map_read(m, a);
     }
   }
-  // Speculative map duplicates do not track their read source; a
-  // partition event is rare enough to just drop any that are reading
-  // (speculation re-arms on the next check).
-  std::vector<std::uint32_t> doomed;
-  for (const auto& [m, dup] : duplicates_) {
-    if (dup.state == MapState::kReading) doomed.push_back(m);
+  // A partition is rare enough to just drop every map backup that is
+  // reading, whatever its source (speculation re-arms on the next
+  // check).
+  for (MapTask& t : maps_) {
+    if (t.backup != nullptr && t.backup->phase == Phase::kReading)
+      drop_backup(t.backup, SlotKind::kMap);
   }
-  for (std::uint32_t m : doomed) cancel_duplicate(m);
   if (exhausted_retry_budget_) {
     exhausted_retry_budget_ = false;
     abort_data_loss();
@@ -1898,7 +1701,7 @@ void JobRun::handle_corrupt_map_output(std::uint32_t m) {
   MapTask& t = maps_[m];
   ++result_.corrupt_map_outputs_detected;
   RCMP_WARN() << "t=" << env_.sim.now() << " job " << spec_.name
-              << ": map output of mapper " << m << " (node " << t.node
+              << ": map output of mapper " << m << " (node " << t.run.node
               << ") failed shuffle checksum — re-executing mapper";
   // Quarantine the output (in-flight fetches of clean buckets still
   // read it; nothing new trusts it) and rewind every reducer that
@@ -1909,7 +1712,7 @@ void JobRun::handle_corrupt_map_output(std::uint32_t m) {
   // detection resets the mapper (and blames the node whose disk served
   // the corrupt bytes — the reset clears t.node).
   if (t.state == MapState::kDone || t.state == MapState::kReused) {
-    blame_node(t.node);
+    blame_node(t.run.node);
     reset_map_task(m);
   }
   if (exhausted_retry_budget_) {
@@ -1944,18 +1747,6 @@ void JobRun::scrub_ready_contribs(std::uint32_t m) {
 // lifecycle
 // ---------------------------------------------------------------------
 
-void JobRun::cancel_task_work(MapTask& t) {
-  if (t.ev != sim::kInvalidEvent) {
-    env_.sim.cancel(t.ev);
-    t.ev = sim::kInvalidEvent;
-  }
-  if (t.flow != res::kInvalidFlow) {
-    env_.net.cancel_flow(t.flow);
-    t.flow = res::kInvalidFlow;
-  }
-  staged_buckets_.erase(static_cast<std::uint32_t>(&t - maps_.data()));
-}
-
 void JobRun::cancel_task_work(ReduceTask& t) {
   if (t.ev != sim::kInvalidEvent) {
     env_.sim.cancel(t.ev);
@@ -1978,13 +1769,8 @@ void JobRun::teardown_all_work() {
     env_.sim.cancel(retry_ev_);
     retry_ev_ = sim::kInvalidEvent;
   }
-  std::vector<std::uint32_t> dup_tasks;
-  for (const auto& [m, dup] : duplicates_) dup_tasks.push_back(m);
-  for (std::uint32_t m : dup_tasks) cancel_duplicate(m);
-  std::vector<std::uint32_t> rdup_tasks;
-  for (const auto& [r, dup] : reduce_duplicates_) rdup_tasks.push_back(r);
-  for (std::uint32_t r : rdup_tasks) cancel_reduce_duplicate(r);
-  for (auto& t : maps_) cancel_task_work(t);
+  drop_backups();
+  for (auto& t : maps_) cancel_attempt_work(t.run);
   for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
     cancel_task_work(reduces_[r]);
   }
@@ -2062,7 +1848,7 @@ void JobRun::finish(JobResult::Status status) {
     if (t.state == MapState::kReused) ++result_.mappers_reused;
     if (t.executed) {
       result_.map_timings.push_back(
-          TaskTiming{true, m, t.node, t.start_time, t.end_time});
+          TaskTiming{true, m, t.run.node, t.start_time, t.end_time});
     }
   }
   for (std::uint32_t r = 0; r < reduces_.size(); ++r) {

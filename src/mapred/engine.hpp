@@ -14,9 +14,13 @@
 // reuse rules allow, and reducers may be hash-split into finer tasks
 // (the paper's core contribution, §IV-B).
 //
+// Every task runs as attempts: one running attempt and, under
+// speculation, at most one backup racing it; the first to finish wins.
+//
 // Ownership: the middleware (src/core) constructs one JobRun per
 // submission and keeps it alive until the simulation ends; JobRun
-// callbacks are epoch-guarded so cancelled work can never resurrect.
+// callbacks are guarded by attempt id (maps) or epoch (reducers) so
+// cancelled work can never resurrect.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +71,7 @@ struct Env {
   /// on core). Unset functions keep the exact pre-policy behavior.
   ///
   /// Consulted per prospective reducer-speculation launch after the
-  /// slowness test passes; returning false vetoes the duplicate.
+  /// slowness test passes; returning false vetoes the backup.
   std::function<bool(const ReduceSpecCandidate&)> reduce_spec_gate = {};
   /// Consulted per task-attempt charge for the effective attempt budget
   /// (0 = unlimited); unset uses EngineConfig::max_task_attempts.
@@ -153,14 +157,33 @@ class JobRun {
   enum class RunState { kCreated, kRunning, kFinished, kCancelled };
 
   enum class MapState : std::uint8_t {
-    kPending,    // waiting for a slot
-    kStarting,   // slot held, task start-up delay
-    kReading,    // input flow in flight
-    kComputing,  // UDF delay
-    kWriting,    // local map-output write flow
-    kDone,       // output registered in the MapOutputStore
-    kReused,     // persisted output from a previous run is used as-is
-    kFrozen,     // was running on a node that died; awaiting detection
+    kPending,  // waiting for a slot
+    kRunning,  // the running attempt holds a slot (see Attempt::phase)
+    kDone,     // output registered in the MapOutputStore
+    kReused,   // persisted output from a previous run is used as-is
+    kFrozen,   // was running on a node that died; awaiting detection
+  };
+
+  /// Where an attempt is. A map attempt starts, reads its input block,
+  /// computes and writes its output. A reducer backup starts, pulls the
+  /// running attempt's fetched bytes (kReading) and computes.
+  enum class Phase : std::uint8_t { kStarting, kReading, kComputing, kWriting };
+
+  /// One execution of a task on one node, holding one slot there. A task
+  /// has its running attempt and at most one speculative backup; the
+  /// first to finish wins and the other hands back its own slot.
+  struct Attempt {
+    /// Stale-callback guard, unique within the run; 0 = no attempt.
+    std::uint32_t id = 0;
+    cluster::NodeId node = cluster::kInvalidNode;
+    cluster::NodeId read_src = cluster::kInvalidNode;  // input source
+    Phase phase = Phase::kStarting;
+    res::FlowId flow = res::kInvalidFlow;
+    sim::EventId ev = sim::kInvalidEvent;
+    double out_bytes = 0.0;  // map-output bytes (set at compute end)
+    /// Payload mode: UDF output staged between compute and the end of
+    /// the map-output write.
+    std::vector<std::vector<Record>> buckets;
   };
 
   struct MapTask {
@@ -173,24 +196,22 @@ class JobRun {
     std::uint64_t input_layout_version = 0;
 
     MapState state = MapState::kPending;
-    cluster::NodeId node = cluster::kInvalidNode;
-    std::uint32_t epoch = 0;  // bumped on every reset; stale guard
-    res::FlowId flow = res::kInvalidFlow;
-    sim::EventId ev = sim::kInvalidEvent;
-
-    double out_bytes = 0.0;  // total map-output bytes (set when done)
-    SimTime start_time = -1.0;
-    SimTime end_time = -1.0;
-    bool executed = false;  // ran (at least once) in this attempt
+    bool executed = false;  // ran (at least once) in this run
 
     // Detector-mode resilience state (untouched without a detector).
-    std::uint32_t attempts = 0;   // re-queues charged to this task
-    SimTime not_before = 0.0;     // retry backoff gate
-    cluster::NodeId read_src = cluster::kInvalidNode;  // current input source
     /// The task is being re-executed only because its intact persisted
     /// output sits on a suspected/unreachable node; reconciliation can
     /// cancel the re-execution and readopt the output.
     bool spurious = false;
+    std::uint32_t attempts = 0;   // re-queues charged to this task
+    SimTime not_before = 0.0;     // retry backoff gate
+
+    SimTime start_time = -1.0;
+    SimTime end_time = -1.0;
+    /// The running attempt. Once the task is done (or reused) it keeps
+    /// the output's node and size.
+    Attempt run;
+    std::unique_ptr<Attempt> backup;  // speculative copy racing `run`
 
     /// Map-output identity: the partition coordinate encodes which
     /// input file the block belongs to (multi-input DAG jobs).
@@ -257,29 +278,11 @@ class JobRun {
     // Detector-mode resilience state (untouched without a detector).
     std::uint32_t attempts = 0;  // re-queues charged to this task
     SimTime not_before = 0.0;    // retry backoff gate
-  };
 
-  /// A speculative duplicate of a running map task. The duplicate races
-  /// the original; whichever finishes first completes the task and the
-  /// loser is cancelled.
-  struct Duplicate {
-    std::uint64_t token = 0;  // stale-callback guard
-    cluster::NodeId node = cluster::kInvalidNode;
-    MapState state = MapState::kStarting;
-    res::FlowId flow = res::kInvalidFlow;
-    sim::EventId ev = sim::kInvalidEvent;
-    double out_bytes = 0.0;
-    std::vector<std::vector<Record>> staged_buckets;  // payload mode
-  };
-
-  /// A speculative duplicate of a reducer stuck in its compute phase.
-  /// The duplicate re-pulls the already-fetched bytes from the
-  /// original's node and redoes the compute; first to finish wins.
-  struct ReduceDuplicate {
-    std::uint64_t token = 0;  // stale-callback guard
-    cluster::NodeId node = cluster::kInvalidNode;
-    res::FlowId flow = res::kInvalidFlow;
-    sim::EventId ev = sim::kInvalidEvent;
+    /// Speculative copy of a reducer stuck in its compute phase. It
+    /// pulls the fetched bytes from the running attempt's node and redoes
+    /// the compute; first to finish the compute wins.
+    std::unique_ptr<Attempt> backup;
   };
 
   struct FetchFlow {
@@ -308,6 +311,18 @@ class JobRun {
   void assign_map(std::uint32_t m, cluster::NodeId n);
   void assign_reduce(std::uint32_t r, cluster::NodeId n);
 
+  // --- attempts ----------------------------------------------------------
+  /// Take a `kind` slot on `n` and open a fresh attempt there.
+  Attempt open_attempt(SlotKind kind, cluster::NodeId n);
+  /// Task m's attempt with this id, or nullptr when it is stale.
+  Attempt* find_attempt(std::uint32_t m, std::uint32_t id);
+  /// Stop an attempt's event and flow and discard its staged output.
+  void cancel_attempt_work(Attempt& a);
+  /// Drop a backup (no-op when there is none), returning its slot.
+  void drop_backup(std::unique_ptr<Attempt>& backup, SlotKind kind);
+  /// Drop every map and reducer backup.
+  void drop_backups();
+
   // --- map task state machine ----------------------------------------
   cluster::NodeId pick_read_source(
       const std::vector<cluster::NodeId>& locs, cluster::NodeId reader);
@@ -315,14 +330,18 @@ class JobRun {
   /// master would actually read from right now.
   std::vector<cluster::NodeId> serving_locations(
       std::uint64_t block_id) const;
-  void map_startup_done(std::uint32_t m, std::uint32_t epoch);
-  /// Dispatch (or re-dispatch after a source failover) the input read of
-  /// a map task holding a slot. Freezes on total loss; re-queues with
-  /// backoff when replicas exist but none currently serves.
-  void start_map_read(std::uint32_t m);
-  void map_read_done(std::uint32_t m, std::uint32_t epoch);
-  void map_compute_done(std::uint32_t m, std::uint32_t epoch);
-  void map_write_done(std::uint32_t m, std::uint32_t epoch);
+  // The four phase steps serve the running attempt and the backup alike.
+  void map_startup_done(std::uint32_t m, std::uint32_t id);
+  /// Dispatch (or re-dispatch after a source failover) an attempt's
+  /// input read. The running attempt reads only serving replicas; it
+  /// freezes on total loss and re-queues with backoff when replicas
+  /// exist but none serves. A backup reads any live replica and is
+  /// dropped when none is left.
+  void start_map_read(std::uint32_t m, Attempt& a);
+  void map_read_done(std::uint32_t m, std::uint32_t id);
+  void map_compute_done(std::uint32_t m, std::uint32_t id);
+  /// The first attempt to finish its write completes the task.
+  void map_write_done(std::uint32_t m, std::uint32_t id);
   void complete_map_task(std::uint32_t m);
   void register_map_output(std::uint32_t m);
   /// Effective tier for this job's persisted map outputs: the spec's
@@ -334,23 +353,11 @@ class JobRun {
   // --- speculative execution ------------------------------------------
   void schedule_speculation_check();
   void speculation_check();
-  void launch_duplicate(std::uint32_t m, cluster::NodeId node);
-  void dup_startup_done(std::uint32_t m, std::uint64_t token);
-  void dup_read_done(std::uint32_t m, std::uint64_t token);
-  void dup_compute_done(std::uint32_t m, std::uint64_t token);
-  void dup_write_done(std::uint32_t m, std::uint64_t token);
-  /// Cancel and discard a task's duplicate (if any), freeing its slot.
-  void cancel_duplicate(std::uint32_t m);
-  Duplicate* find_dup(std::uint32_t m, std::uint64_t token);
-
-  // --- reducer speculation (EngineConfig::speculative_reducers) --------
+  /// Reducer speculation (EngineConfig::speculative_reducers).
   void speculate_reducers();
-  void launch_reduce_duplicate(std::uint32_t r, cluster::NodeId node);
-  void rdup_startup_done(std::uint32_t r, std::uint64_t token);
-  void rdup_pull_done(std::uint32_t r, std::uint64_t token);
-  void rdup_compute_done(std::uint32_t r, std::uint64_t token);
-  void cancel_reduce_duplicate(std::uint32_t r);
-  ReduceDuplicate* find_rdup(std::uint32_t r, std::uint64_t token);
+  /// Advance reducer r's backup one phase: start-up, pull, compute (the
+  /// compute's end wins the race).
+  void reduce_backup_step(std::uint32_t r, std::uint32_t id);
 
   // --- shuffle ---------------------------------------------------------
   void mark_contrib_ready(std::uint32_t r, std::uint32_t m);
@@ -370,7 +377,7 @@ class JobRun {
   void reduce_startup_done(std::uint32_t r, std::uint32_t epoch);
   void maybe_start_reduce_compute(std::uint32_t r);
   void reduce_compute_done(std::uint32_t r, std::uint32_t epoch);
-  /// Post-compute tail shared by the original and a winning duplicate:
+  /// Post-compute tail shared by the running attempt and a winning backup:
   /// sort/merge + reduce UDF (payload mode), output sizing, DFS write.
   void finish_reduce_compute(std::uint32_t r);
   void start_reduce_write(std::uint32_t r);
@@ -393,6 +400,11 @@ class JobRun {
   /// Return every still-buffered (kReady) contribution of mapper `m` to
   /// kWaiting, unwinding the ready-buffer accounting.
   void scrub_ready_contribs(std::uint32_t m);
+
+  /// Freeze every task running on `n` and drop every backup (a compute
+  /// failure or a suspicion of `n`). A suspicion also hands the frozen
+  /// tasks' slots back to the broker.
+  void freeze_tasks_on(cluster::NodeId n, bool suspected);
 
   // --- detector-mode resilience ----------------------------------------
   /// Would the master read persisted data from `n` right now? Storage
@@ -422,7 +434,6 @@ class JobRun {
   void abort_data_loss();
   void teardown_all_work();
   void discard_partial_results();
-  void cancel_task_work(MapTask& t);
   void cancel_task_work(ReduceTask& t);
   void run_map_udf(std::uint32_t m, MapOutput& out) const;
 
@@ -430,14 +441,19 @@ class JobRun {
   double flush_threshold() const { return flush_threshold_; }
 
   // --- slot accounting (local arrays or the shared broker) -------------
-  bool map_slot_free(cluster::NodeId n) const;
-  bool reduce_slot_free(cluster::NodeId n) const;
-  void take_map_slot(cluster::NodeId n);
-  void take_reduce_slot(cluster::NodeId n);
+  bool slot_free(SlotKind kind, cluster::NodeId n) const;
+  void take_slot(SlotKind kind, cluster::NodeId n);
   /// Return a slot; dropped when the node's compute is down (dead nodes
   /// never regain credit — a rejoin refills the full complement).
-  void put_map_slot(cluster::NodeId n);
-  void put_reduce_slot(cluster::NodeId n);
+  void put_slot(SlotKind kind, cluster::NodeId n);
+  /// Sole tenant: credit node n its full slot complement, or none. No-op
+  /// with a broker.
+  void credit_slots(cluster::NodeId n, bool full);
+  /// Round robin from rr_cursor_: the first compute-alive node other
+  /// than `avoid` with a free `kind` slot (advancing the cursor past
+  /// it), or kInvalidNode.
+  cluster::NodeId next_free_slot(SlotKind kind,
+                                 cluster::NodeId avoid = cluster::kInvalidNode);
   /// Publish unmet demand to the broker (no-op single-tenant).
   void publish_demand();
 
@@ -459,8 +475,8 @@ class JobRun {
   std::uint32_t maps_remaining_ = 0;    // not yet done/reused
   std::uint32_t reduces_remaining_ = 0;
 
-  std::vector<std::uint32_t> free_map_slots_;     // per node (no broker)
-  std::vector<std::uint32_t> free_reduce_slots_;  // per node (no broker)
+  /// Free slots per node, indexed by SlotKind (no broker).
+  std::vector<std::uint32_t> free_slots_[2];
   /// Broker mode: nodes barred from running recomputed mappers
   /// (EngineConfig::recompute_map_node_limit, the Fig. 14 knob).
   std::vector<std::uint8_t> map_node_banned_;
@@ -470,21 +486,15 @@ class JobRun {
   std::uint64_t next_fetch_token_ = 1;
   double flush_threshold_ = 0.0;
   bool payload_mode_ = false;
-  /// Payload mode: UDF outputs staged between map compute and the end of
-  /// the map-output write flow.
-  std::unordered_map<std::uint32_t, std::vector<std::vector<Record>>>
-      staged_buckets_;
 
   std::vector<MapOutputKey> outputs_registered_;     // this attempt
   std::vector<std::uint32_t> partitions_committed_;  // this attempt
   sim::EventId bootstrap_ev_ = sim::kInvalidEvent;
 
-  std::unordered_map<std::uint32_t, Duplicate> duplicates_;  // by task
-  std::uint64_t next_dup_token_ = 1;
+  std::uint32_t next_attempt_id_ = 1;
   sim::EventId speculation_ev_ = sim::kInvalidEvent;
   double completed_map_time_sum_ = 0.0;
   std::uint32_t completed_map_count_ = 0;
-  std::unordered_map<std::uint32_t, ReduceDuplicate> reduce_duplicates_;
   double completed_reduce_time_sum_ = 0.0;
   std::uint32_t completed_reduce_count_ = 0;
 

@@ -89,15 +89,9 @@ struct RecomputeDirective {
 };
 
 struct EngineConfig {
-  /// Master's failure-detection timeout (paper: 30 s).
-  ///
-  /// DEPRECATED as a per-job knob: detection latency is a property of
-  /// the cluster's failure detector, not of one job. When a
-  /// cluster::FailureDetector is attached (DetectorConfig::enabled),
-  /// this value only serves as the fallback for a negative
-  /// DetectorConfig::suspicion_timeout, preserving the paper's 30 s
-  /// presets; without a detector it keeps its historical meaning (the
-  /// oracle's fixed kill-to-detection delay).
+  /// The oracle failure model's fixed kill-to-detection delay (paper:
+  /// 30 s). Unused when a cluster::FailureDetector is attached; its
+  /// DetectorConfig::suspicion_timeout governs detection then.
   SimTime detect_timeout = 30.0;
   /// Per-task start-up cost (JVM spawn, task localization).
   SimTime task_startup = 1.0;
@@ -244,7 +238,7 @@ struct JobResult {
   std::uint32_t mappers_executed = 0;
   std::uint32_t mappers_reused = 0;
   std::uint32_t reducers_executed = 0;
-  /// Speculative duplicates launched / that actually won the race.
+  /// Speculative backup attempts launched / that won the race.
   std::uint32_t speculative_launched = 0;
   std::uint32_t speculative_won = 0;
 

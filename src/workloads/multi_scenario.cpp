@@ -50,8 +50,7 @@ MultiScenario::MultiScenario(MultiScenarioConfig cfg)
 
   if (cfg_.base.detector.enabled) {
     detector_ = std::make_unique<cluster::FailureDetector>(
-        sim_, cluster_, cfg_.base.detector, cfg_.base.engine.detect_timeout,
-        &obs_);
+        sim_, cluster_, cfg_.base.detector, &obs_);
     if (cfg_.base.detector.audit_reconcile && auditor_ != nullptr) {
       detector_->on_detection(
           [this](cluster::NodeId n, cluster::DetectionKind kind) {

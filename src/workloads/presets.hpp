@@ -45,8 +45,7 @@ struct ScenarioConfig {
 
   /// Heartbeat failure detection (cluster/detector.hpp). Disabled by
   /// default: the scenario keeps the paper's oracle model and every
-  /// pre-detector run stays bit-identical. A negative
-  /// detector.suspicion_timeout inherits engine.detect_timeout.
+  /// pre-detector run stays bit-identical.
   cluster::DetectorConfig detector;
 
   /// Install the invariant auditor (obs/audit.hpp): every job boundary

@@ -29,7 +29,7 @@ Scenario::Scenario(ScenarioConfig cfg)
   }
   if (cfg_.detector.enabled) {
     detector_ = std::make_unique<cluster::FailureDetector>(
-        sim_, cluster_, cfg_.detector, cfg_.engine.detect_timeout, &obs_);
+        sim_, cluster_, cfg_.detector, &obs_);
     if (cfg_.detector.audit_reconcile && auditor_ != nullptr) {
       // Registered before the middleware's handlers (run() constructs
       // it later), so the digest is captured before the engine reacts

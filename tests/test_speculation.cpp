@@ -234,7 +234,9 @@ TEST(SpeculationPins, ReducerBackupsUnderDetectorChaos) {
   for (const SpecPin& pin : pins) {
     SCOPED_TRACE(pin.seed);
     expect_pin(cpu_straggler_config(true), pin_options(), pin,
-               [&](cluster::Cluster& c) { c.set_cpu_factor(pin.seed % 8, 20.0); });
+               [&](cluster::Cluster& c) {
+                 c.set_cpu_factor(pin.seed % 8, 20.0);
+               });
   }
 }
 
@@ -251,7 +253,9 @@ TEST(SpeculationPins, MapBackupsUnderDetectorChaos) {
   for (const SpecPin& pin : pins) {
     SCOPED_TRACE(pin.seed);
     expect_pin(cpu_straggler_config(false), pin_options(), pin,
-               [&](cluster::Cluster& c) { c.set_cpu_factor(pin.seed % 8, 300.0); });
+               [&](cluster::Cluster& c) {
+                 c.set_cpu_factor(pin.seed % 8, 300.0);
+               });
   }
 }
 
@@ -273,7 +277,9 @@ TEST(SpeculationPins, MapBackupsDodgeSlowDiskUnderDetectorChaos) {
   for (const SpecPin& pin : pins) {
     SCOPED_TRACE(pin.seed);
     expect_pin(cfg, opt, pin,
-               [&](cluster::Cluster& c) { c.degrade_disk(pin.seed % 8, 50.0); });
+               [&](cluster::Cluster& c) {
+                 c.degrade_disk(pin.seed % 8, 50.0);
+               });
   }
 }
 
