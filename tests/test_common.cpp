@@ -1,6 +1,8 @@
-// Unit tests for src/common: units, RNG, hashing, MD5, stats, tables.
+// Unit tests for src/common: units, RNG, hashing, MD5 (with the
+// workload's per-record MD5 check), stats, tables.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 
 #include "common/hash.hpp"
@@ -9,6 +11,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
+#include "mapred/record.hpp"
 
 namespace rcmp {
 namespace {
@@ -174,6 +177,40 @@ TEST(Md5, CrossesBlockBoundaries) {
     h.update(data.substr(0, len / 2));
     h.update(data.substr(len / 2));
     EXPECT_EQ(h.finalize(), Md5::hash(data)) << "len=" << len;
+  }
+}
+
+// Known answers for every length 0..130: both padding branches (length
+// field fits in the last block, len % 64 < 56, or spills into an extra
+// one) at every offset. The value matches Python's hashlib.
+TEST(Md5, KnownAnswersAcrossAllPaddingOffsets) {
+  Md5 outer;
+  for (std::size_t len = 0; len <= 130; ++len) {
+    const Md5::Digest d = Md5::hash(std::string(len, 'q'));
+    outer.update(d.data(), d.size());
+  }
+  EXPECT_EQ(Md5::to_hex(outer.finalize()),
+            "4759c4a9a5f2af9553bab26cef2ec37c");
+}
+
+// The workload's per-record check hashes one 64-byte payload: the hot
+// input size, whose padding is a whole extra block.
+TEST(Md5, RecordCheckKnownAnswers) {
+  const std::uint64_t values[] = {0,
+                                  1,
+                                  2,
+                                  100,
+                                  0xdeadbeefULL,
+                                  0x8000000000000000ULL,
+                                  0x0123456789abcdefULL,
+                                  ~0ULL};
+  const std::uint64_t want[] = {
+      0xf9385faeefac20d6ULL, 0xe930ef91108a363bULL, 0xf4e6c96853c5fbe2ULL,
+      0xd215f40cab8d8b67ULL, 0x4cd00756d8432f38ULL, 0xe744c53f14fd9306ULL,
+      0x7e99cafa957807cbULL, 0xd555e28079ddb670ULL};
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    EXPECT_EQ(mapred::record_md5_check(mapred::Record{7, values[i]}), want[i])
+        << "value=" << values[i];
   }
 }
 
