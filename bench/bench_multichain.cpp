@@ -16,7 +16,8 @@
 // Like micro_simcore, emits a machine-readable summary
 // (--json_out=BENCH_multichain.json) and can gate on a checked-in
 // baseline (--baseline=bench/BENCH_multichain.baseline.json, exit 1
-// when any record runs >2x slower than its baseline wall time).
+// when any record runs >2x slower than its baseline wall time or any
+// simulated counter differs from its baseline value).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -179,7 +180,12 @@ int main(int argc, char** argv) {
                    baseline.c_str());
       return 1;
     }
-    if (rcmp::bench::count_regressions(records, base, 2.0) > 0) {
+    // Simulated outputs and scheduler counts are seed-deterministic:
+    // gate them exactly.
+    if (rcmp::bench::count_regressions(
+            records, base, 2.0,
+            {"makespan_s", "mean_chain_s", "grants", "denials", "pokes",
+             "completed", "damaged_replans", "untouched_replans"}) > 0) {
       return 1;
     }
   }

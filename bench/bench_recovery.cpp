@@ -25,7 +25,8 @@
 // Like bench_cache, emits a machine-readable summary
 // (--json_out=BENCH_recovery.json) and gates on a checked-in baseline
 // (--baseline=bench/BENCH_recovery.baseline.json, exit 1 when any
-// record runs >2x slower than its baseline wall time).
+// record runs >2x slower than its baseline wall time or any simulated
+// counter differs from its baseline value).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -229,7 +230,12 @@ int main(int argc, char** argv) {
                    baseline.c_str());
       return 1;
     }
-    if (rcmp::bench::count_regressions(records, base, 2.0) > 0) {
+    // Simulated times and journal counts are seed-deterministic: gate
+    // them exactly.
+    if (rcmp::bench::count_regressions(
+            records, base, 2.0,
+            {"clean_s", "crash_at_s", "crash_s", "recovery_s",
+             "journal_records", "replayed"}) > 0) {
       return 1;
     }
   }
