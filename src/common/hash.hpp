@@ -2,7 +2,8 @@
 //
 // These hashes drive (a) the deterministic per-record key randomization
 // performed by the paper's workload mappers, (b) reducer partitioning,
-// and (c) the split-partitioning of recomputed reducers. Determinism is
+// (c) the split-partitioning of recomputed reducers, and (d) the
+// read-path integrity digest of stored records. Determinism is
 // load-bearing: a recomputed mapper must route every record to the same
 // reducer partition it chose in the initial run.
 #pragma once
@@ -28,8 +29,9 @@ constexpr std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) {
   return mix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
 }
 
-/// FNV-1a over arbitrary bytes; used for checksum-style aggregation of
-/// record payloads in the functional (payload-backed) execution mode.
+/// FNV-1a over arbitrary bytes: a general-purpose byte hash. No record
+/// path uses it — the workload checks records with MD5 and byte sums
+/// (mapred::Checksum), the read path with mapred::BlockDigest.
 inline std::uint64_t fnv1a(const void* data, std::size_t len,
                            std::uint64_t seed = 0xcbf29ce484222325ULL) {
   const auto* p = static_cast<const unsigned char*>(data);

@@ -118,18 +118,19 @@ void Md5::update(const void* data, std::size_t len) {
 }
 
 Md5::Digest Md5::finalize() {
-  // Append 0x80, pad with zeros to 56 mod 64, then the bit length.
+  // Append 0x80, pad with zeros to 56 mod 64, then the bit length. When
+  // the 8-byte length no longer fits behind the 0x80, the padding spills
+  // into one extra block.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t one = 0x80;
-  update(&one, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(&zero, 1);
-
-  std::uint8_t len_bytes[8];
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
+    process_block(buffer_);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i)
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-  // Bypass total_len_ accounting for the length field itself.
-  std::memcpy(buffer_ + 56, len_bytes, 8);
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
   process_block(buffer_);
   buffer_len_ = 0;
 

@@ -1020,7 +1020,7 @@ void JobRun::fetch_done(std::uint64_t token) {
 
   // Each mapper's segment is accepted independently: a segment whose
   // output vanished mid-flight (corruption handled elsewhere dropped
-  // it) rewinds to kWaiting, a segment failing its checksum triggers
+  // it) rewinds to kWaiting, a segment failing its digest triggers
   // mapper re-execution, the rest land normally.
   std::vector<std::uint32_t> corrupt;
   for (std::size_t i = 0; i < ff.mappers.size(); ++i) {
@@ -1671,7 +1671,7 @@ bool JobRun::map_input_corrupt(std::uint32_t m) const {
   const MapTask& t = maps_[m];
   if (env_.dfs.partition_corrupt(t.input_file, t.input_partition))
     return true;
-  // Payload mode: recompute the block checksum against the one recorded
+  // Payload mode: recompute the block digest against the one recorded
   // when the partition was written (no-op for virtual-size inputs).
   return !env_.payloads.verify_block(t.input_file, t.input_partition,
                                      t.block_index);

@@ -89,14 +89,12 @@ void MapOutputStore::spill_node(cluster::NodeId node, Bytes need) {
 }
 
 void MapOutputStore::put(const MapOutputKey& key, MapOutput output) {
-  // Capture per-bucket checksums so shuffle fetches can verify what they
+  // Capture per-bucket digests so shuffle fetches can verify what they
   // read against what the mapper produced.
   if (!output.buckets.empty() && output.bucket_sums.empty()) {
     output.bucket_sums.reserve(output.buckets.size());
     for (const auto& bucket : output.buckets) {
-      Checksum sum;
-      for (const Record& r : bucket) sum.add(r);
-      output.bucket_sums.push_back(sum);
+      output.bucket_sums.push_back(BlockDigest::of(bucket));
     }
   }
   auto [it, inserted] = outputs_.try_emplace(key);
@@ -172,16 +170,17 @@ BucketState MapOutputStore::bucket_state(const MapOutputKey& key,
   // Virtual-size mode carries no payload; the corruption marker above
   // is the whole integrity story.
   if (out->buckets.empty()) return BucketState::kIntact;
-  // Payload present but the requested bucket was never checksummed:
-  // the read cannot be verified, so it must not pass as intact.
+  // Payload present but the requested bucket was never digested: the
+  // read cannot be verified, so it must not pass as intact.
   if (partition >= out->buckets.size() ||
       partition >= out->bucket_sums.size()) {
     return BucketState::kMissingSum;
   }
-  Checksum sum;
-  for (const Record& r : out->buckets[partition]) sum.add(r);
-  return sum == out->bucket_sums[partition] ? BucketState::kIntact
-                                            : BucketState::kCorrupt;
+  const std::vector<Record>& bucket = out->buckets[partition];
+  integrity_.count(bucket.size());
+  return BlockDigest::of(bucket) == out->bucket_sums[partition]
+             ? BucketState::kIntact
+             : BucketState::kCorrupt;
 }
 
 bool MapOutputStore::corrupt_one(Rng& rng) {

@@ -53,9 +53,9 @@ struct MapOutput {
   std::vector<double> per_reducer_bytes;
   /// Payload mode: records bucketed per initial reducer partition.
   std::vector<std::vector<Record>> buckets;
-  /// Per-bucket checksums captured at registration; verified by reducers
+  /// Per-bucket digests captured at registration; verified by reducers
   /// at shuffle-fetch time (payload mode only).
-  std::vector<Checksum> bucket_sums;
+  std::vector<BlockDigest> bucket_sums;
   bool lost = false;
   /// Silent corruption marker for virtual-size mode (payload mode flips
   /// real record bytes instead). Invisible to usable(); only the
@@ -68,7 +68,7 @@ struct MapOutput {
 };
 
 /// Verdict of a shuffle-time bucket integrity check. kMissingSum means
-/// the output carries payload but no checksum was ever captured for the
+/// the output carries payload but no digest was ever captured for the
 /// requested bucket: the read is unverifiable, which the engine treats
 /// as corrupt and the auditor treats as a violation (a silently-passing
 /// unverifiable fetch was the bug this state replaces).
@@ -111,10 +111,10 @@ class MapOutputStore {
   /// new reuse or shuffle readiness.
   void mark_lost(const MapOutputKey& key);
 
-  /// Shuffle-time integrity check of one bucket: recompute its checksum
+  /// Shuffle-time integrity check of one bucket: recompute its digest
   /// against the one captured at registration (payload mode), or consult
   /// the corruption marker (virtual mode). A payload bucket with no
-  /// captured checksum is kMissingSum — never silently intact.
+  /// captured digest is kMissingSum — never silently intact.
   BucketState bucket_state(const MapOutputKey& key,
                            std::uint32_t partition) const;
   /// True iff bucket_state is kIntact.
@@ -126,6 +126,9 @@ class MapOutputStore {
   /// chosen deterministically from `rng`. Returns false if nothing is
   /// stored.
   bool corrupt_one(Rng& rng);
+
+  /// Buckets bucket_state digested, and their records.
+  const IntegrityCounters& integrity() const { return integrity_; }
 
   /// Evict outputs of one job until at least `bytes` are freed or the
   /// job has none left; returns the exact bytes actually freed (integer
@@ -221,6 +224,7 @@ class MapOutputStore {
   std::unordered_map<cluster::NodeId, Bytes> node_mem_used_;
   std::unordered_set<std::uint32_t> pinned_jobs_;
   std::function<void(cluster::NodeId, Bytes)> spill_hook_;
+  mutable IntegrityCounters integrity_;
 };
 
 }  // namespace rcmp::mapred

@@ -34,10 +34,8 @@ void PayloadStore::append(dfs::FileId f, dfs::PartitionIndex p,
   for (std::uint32_t b = 0; b < block_count; ++b) {
     pp.block_starts.push_back(base + offset);
     const std::size_t share = n / block_count + (b < n % block_count ? 1 : 0);
-    Checksum sum;
-    for (std::size_t i = 0; i < share; ++i)
-      sum.add(pp.records[base + offset + i]);
-    pp.block_sums.push_back(sum);
+    pp.block_sums.push_back(BlockDigest::of(
+        std::span<const Record>(pp.records.data() + base + offset, share)));
     offset += share;
   }
   RCMP_CHECK(offset == n);
@@ -83,17 +81,18 @@ bool PayloadStore::verify_block(dfs::FileId f, dfs::PartitionIndex p,
   if (it == parts_.end()) return true;  // nothing stored, nothing corrupt
   const PartitionPayload& pp = it->second;
   if (block_index >= pp.block_sums.size()) return true;
-  Checksum sum;
   const std::size_t lo = pp.block_starts[block_index];
   const std::size_t hi = pp.block_starts[block_index + 1];
-  for (std::size_t i = lo; i < hi; ++i) sum.add(pp.records[i]);
-  return sum == pp.block_sums[block_index];
+  integrity_.count(hi - lo);
+  return BlockDigest::of(std::span<const Record>(pp.records.data() + lo,
+                                                 hi - lo)) ==
+         pp.block_sums[block_index];
 }
 
 bool PayloadStore::corrupt_record(dfs::FileId f, dfs::PartitionIndex p) {
   auto it = parts_.find(key(f, p));
   if (it == parts_.end() || it->second.records.empty()) return false;
-  // Flip bits in the middle record's value; the block checksum captured
+  // Flip bits in the middle record's value; the block digest captured
   // at append time no longer matches, but nothing notices until a reader
   // verifies.
   it->second.records[it->second.records.size() / 2].value ^= 0xdeadbeefULL;

@@ -55,15 +55,18 @@ class PayloadStore {
   /// Order-independent checksum over every record in the file.
   Checksum file_checksum(dfs::FileId f, std::uint32_t num_partitions) const;
 
-  /// Recompute the block's checksum and compare against the one recorded
+  /// Recompute the block's digest and compare against the one recorded
   /// at append time — the read-path integrity check. True = intact.
   bool verify_block(dfs::FileId f, dfs::PartitionIndex p,
                     std::uint32_t block_index) const;
 
   /// Chaos support: silently flip bits in one stored record of the
-  /// partition (the block checksum recorded at append time no longer
+  /// partition (the block digest recorded at append time no longer
   /// matches). Returns false if the partition holds no records.
   bool corrupt_record(dfs::FileId f, dfs::PartitionIndex p);
+
+  /// Blocks verify_block digested, and their records.
+  const IntegrityCounters& integrity() const { return integrity_; }
 
  private:
   struct PartitionPayload {
@@ -71,14 +74,15 @@ class PayloadStore {
     /// records index where each block starts; blocks are
     /// [starts[i], starts[i+1]) with a final sentinel = records.size().
     std::vector<std::size_t> block_starts;
-    /// Checksum of each block's records, captured at append time.
-    std::vector<Checksum> block_sums;
+    /// Digest of each block's records, captured at append time.
+    std::vector<BlockDigest> block_sums;
   };
   using Key = std::uint64_t;
   static Key key(dfs::FileId f, dfs::PartitionIndex p) {
     return (static_cast<std::uint64_t>(f) << 32) | p;
   }
   std::unordered_map<Key, PartitionPayload> parts_;
+  mutable IntegrityCounters integrity_;
 };
 
 }  // namespace rcmp::mapred

@@ -86,6 +86,36 @@ struct Checksum {
 
 Checksum checksum_of(std::span<const Record> records);
 
+/// Read-path integrity digest of a stored block or shuffle bucket,
+/// captured when the data is written and recomputed when it is read.
+/// MD5-free: mix64 is a bijection, so changing any single record's key
+/// or value always changes `acc`. The workload's own MD5 and byte-sum
+/// checks live in Checksum.
+struct BlockDigest {
+  std::uint64_t acc = 0;
+  std::uint64_t count = 0;
+
+  static BlockDigest of(std::span<const Record> records) {
+    BlockDigest d;
+    for (const Record& r : records) d.acc += mix64(r.key ^ mix64(r.value));
+    d.count = records.size();
+    return d;
+  }
+  bool operator==(const BlockDigest&) const = default;
+};
+
+/// Work done by read-path integrity checks: how many checks digested a
+/// payload-backed block or bucket, and how many records they digested.
+struct IntegrityCounters {
+  std::uint64_t checks = 0;
+  std::uint64_t records = 0;
+
+  void count(std::size_t n) {
+    ++checks;
+    records += n;
+  }
+};
+
 /// Collects a UDF's emitted records.
 class Emitter {
  public:

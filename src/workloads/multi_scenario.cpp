@@ -207,6 +207,10 @@ std::vector<core::ChainResult> MultiScenario::finish() {
                  "simulation drained before every chain completed "
                  "(scheduler or engine deadlock)");
   publish_sim_metrics(obs_.metrics, sim_, net_);
+  publish_payload_metrics(obs_.metrics, payloads_.integrity());
+  for (const auto& store : stores_) {
+    publish_payload_metrics(obs_.metrics, store->integrity());
+  }
   return results_;
 }
 

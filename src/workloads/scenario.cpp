@@ -162,6 +162,8 @@ core::ChainResult Scenario::drive_to_completion() {
                  "simulation drained before the chain completed "
                  "(engine deadlock)");
   publish_sim_metrics(obs_.metrics, sim_, net_);
+  publish_payload_metrics(obs_.metrics, payloads_.integrity());
+  publish_payload_metrics(obs_.metrics, map_outputs_.integrity());
   return result;
 }
 
@@ -173,6 +175,12 @@ void publish_sim_metrics(obs::MetricsRegistry& m, const sim::Simulation& sim,
   m.add("net.realloc_passes", net.reallocations());
   m.add("net.flows_reallocated", net.flows_reallocated());
   m.add("net.fill_rounds", net.fill_rounds());
+}
+
+void publish_payload_metrics(obs::MetricsRegistry& m,
+                             const mapred::IntegrityCounters& c) {
+  m.add("payload.checks", c.checks);
+  m.add("payload.checked_records", c.records);
 }
 
 bool Scenario::crash_master() {

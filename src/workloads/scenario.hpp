@@ -137,6 +137,11 @@ class Scenario {
 void publish_sim_metrics(obs::MetricsRegistry& m, const sim::Simulation& sim,
                          const res::FlowNetwork& net);
 
+/// Add one store's read-path integrity work into `m` as the counters
+/// payload.checks and payload.checked_records (call once per store).
+void publish_payload_metrics(obs::MetricsRegistry& m,
+                             const mapred::IntegrityCounters& c);
+
 /// Convenience: run one scenario end to end and return the result.
 core::ChainResult run_scenario(const ScenarioConfig& cfg,
                                core::StrategyConfig strategy,

@@ -112,6 +112,77 @@ TEST(PayloadStore, FileChecksumSpansPartitions) {
   EXPECT_EQ(c, manual);
 }
 
+// Flips one of a record's 128 key (bits 0..63) and value (64..127)
+// bits in place. The stores hand out const views of records they own
+// as non-const objects, so writing through const_cast is well defined.
+void flip_bit(const Record& r, int bit) {
+  Record& m = const_cast<Record&>(r);
+  (bit < 64 ? m.key : m.value) ^= 1ULL << (bit % 64);
+}
+
+std::vector<Record> sample_records(std::uint64_t n) {
+  std::vector<Record> recs;
+  for (std::uint64_t i = 0; i < n; ++i) recs.push_back({mix64(i), i * 31});
+  return recs;
+}
+
+TEST(BlockDigest, CountsRecordsAndIgnoresOrder) {
+  std::vector<Record> recs = sample_records(5);
+  const BlockDigest d = BlockDigest::of(recs);
+  EXPECT_EQ(d.count, 5u);
+  std::reverse(recs.begin(), recs.end());
+  EXPECT_EQ(BlockDigest::of(recs), d);
+  recs.pop_back();
+  EXPECT_NE(BlockDigest::of(recs), d);
+  EXPECT_EQ(BlockDigest::of({}), BlockDigest{});
+}
+
+TEST(PayloadStore, VerifyBlockFlagsEverySingleBitFlip) {
+  PayloadStore store;
+  store.append(4, 1, sample_records(15), 3);  // blocks of 5
+  const auto block = store.block_records(4, 1, 1);
+  ASSERT_EQ(block.size(), 5u);
+  for (std::size_t i : {std::size_t{0}, block.size() / 2, block.size() - 1}) {
+    for (int bit = 0; bit < 128; ++bit) {
+      flip_bit(block[i], bit);
+      EXPECT_FALSE(store.verify_block(4, 1, 1)) << "record " << i
+                                                << " bit " << bit;
+      EXPECT_TRUE(store.verify_block(4, 1, 0));
+      flip_bit(block[i], bit);
+      EXPECT_TRUE(store.verify_block(4, 1, 1));
+    }
+  }
+}
+
+TEST(PayloadStore, CorruptRecordIsDetectedInItsBlockOnly) {
+  PayloadStore store;
+  store.append(2, 0, sample_records(9), 3);
+  ASSERT_TRUE(store.corrupt_record(2, 0));
+  // The middle record (index 4) sits in the middle block.
+  EXPECT_TRUE(store.verify_block(2, 0, 0));
+  EXPECT_FALSE(store.verify_block(2, 0, 1));
+  EXPECT_TRUE(store.verify_block(2, 0, 2));
+  EXPECT_FALSE(store.corrupt_record(2, 5));  // nothing stored there
+}
+
+TEST(PayloadStore, EmptyBlockAndUnknownPartitionReadAsIntact) {
+  PayloadStore store;
+  store.append(1, 0, {}, 1);
+  EXPECT_TRUE(store.verify_block(1, 0, 0));
+  EXPECT_TRUE(store.verify_block(1, 7, 0));
+}
+
+TEST(PayloadStore, IntegrityCountersCountDigestedBlocksAndRecords) {
+  PayloadStore store;
+  store.append(3, 0, sample_records(10), 4);  // 3,3,2,2
+  EXPECT_EQ(store.integrity().checks, 0u);  // capture is not a check
+  EXPECT_TRUE(store.verify_block(3, 0, 0));
+  EXPECT_TRUE(store.verify_block(3, 0, 3));
+  EXPECT_TRUE(store.verify_block(3, 9, 0));  // nothing digested
+  EXPECT_EQ(store.integrity().checks, 2u);
+  EXPECT_EQ(store.integrity().records, 5u);
+}
+
 TEST(PayloadStore, FileHasPayloadPerFile) {
   PayloadStore store;
   store.append(5, 0, {{1, 1}}, 1);
@@ -193,6 +264,67 @@ TEST(MapOutputStore, UsedSpaceSkipsLost) {
   f.store.on_node_failure(1);
   EXPECT_EQ(f.store.total_used(), 1000u);
   EXPECT_EQ(f.store.used_on_node(1), 0u);
+}
+
+MapOutput payload_output(std::vector<std::vector<Record>> buckets) {
+  MapOutput out = make_output(0);
+  out.per_reducer_bytes.assign(buckets.size(), 100.0);
+  out.buckets = std::move(buckets);
+  return out;
+}
+
+TEST(MapOutputStore, BucketStateFlagsEverySingleBitFlip) {
+  StoreFixture f;
+  const MapOutputKey key{1, 0, 0};
+  f.store.put(key, payload_output({sample_records(3), sample_records(5)}));
+  const std::vector<Record>& bucket = f.store.find(key)->buckets[1];
+  for (std::size_t i : {std::size_t{0}, bucket.size() / 2, bucket.size() - 1}) {
+    for (int bit = 0; bit < 128; ++bit) {
+      flip_bit(bucket[i], bit);
+      EXPECT_EQ(f.store.bucket_state(key, 1), BucketState::kCorrupt)
+          << "record " << i << " bit " << bit;
+      EXPECT_EQ(f.store.bucket_state(key, 0), BucketState::kIntact);
+      flip_bit(bucket[i], bit);
+      EXPECT_EQ(f.store.bucket_state(key, 1), BucketState::kIntact);
+    }
+  }
+}
+
+TEST(MapOutputStore, CorruptOneIsDetectedInExactlyOneBucket) {
+  StoreFixture f;
+  const MapOutputKey key{1, 0, 0};
+  f.store.put(key, payload_output({sample_records(4), {}, sample_records(6)}));
+  Rng rng(7);
+  ASSERT_TRUE(f.store.corrupt_one(rng));
+  int corrupt = 0;
+  for (std::uint32_t b = 0; b < 3; ++b) {
+    if (f.store.bucket_state(key, b) == BucketState::kCorrupt) ++corrupt;
+  }
+  EXPECT_EQ(corrupt, 1);
+  // The empty bucket cannot be the victim.
+  EXPECT_EQ(f.store.bucket_state(key, 1), BucketState::kIntact);
+}
+
+TEST(MapOutputStore, EmptyBucketsReadAsIntact) {
+  StoreFixture f;
+  const MapOutputKey key{1, 0, 0};
+  f.store.put(key, payload_output({{}, {}}));
+  EXPECT_EQ(f.store.bucket_state(key, 0), BucketState::kIntact);
+  EXPECT_EQ(f.store.bucket_state(key, 1), BucketState::kIntact);
+  EXPECT_EQ(f.store.integrity().checks, 2u);
+  EXPECT_EQ(f.store.integrity().records, 0u);
+}
+
+TEST(MapOutputStore, IntegrityCountersSkipUndigestedReads) {
+  StoreFixture f;
+  f.store.put({1, 0, 0}, payload_output({sample_records(4)}));
+  f.store.put({1, 0, 1}, make_output(1));  // virtual size: no payload
+  EXPECT_EQ(f.store.bucket_state({1, 0, 0}, 0), BucketState::kIntact);
+  EXPECT_EQ(f.store.bucket_state({1, 0, 1}, 0), BucketState::kIntact);
+  EXPECT_EQ(f.store.bucket_state({1, 0, 0}, 3), BucketState::kMissingSum);
+  EXPECT_EQ(f.store.bucket_state({9, 0, 0}, 0), BucketState::kIntact);
+  EXPECT_EQ(f.store.integrity().checks, 1u);
+  EXPECT_EQ(f.store.integrity().records, 4u);
 }
 
 TEST(MapOutputKey, PackedIsInjectiveOnSmallCoords) {

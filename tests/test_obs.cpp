@@ -179,6 +179,30 @@ TEST(Metrics, SimulatorCountersArePublishedAtScenarioEnd) {
   EXPECT_EQ(m.counter("net.fill_rounds"), net.fill_rounds());
 }
 
+// Failure-free, every mapper verifies its input block once and every
+// reducer verifies each mapper's bucket once, so each of the 4 x 64
+// records is digested twice per job.
+TEST(Metrics, PayloadIntegrityCountersArePublishedAtScenarioEnd) {
+  Scenario s(workloads::payload_config(4, 2, 64));
+  const core::ChainResult r = s.run(rcmp_split());
+  ASSERT_TRUE(r.completed);
+  const auto& m = s.obs().metrics;
+  const auto& blocks = s.payloads().integrity();
+  const auto& buckets = s.env().map_outputs.integrity();
+  EXPECT_EQ(m.counter("payload.checks"), blocks.checks + buckets.checks);
+  EXPECT_EQ(m.counter("payload.checked_records"),
+            blocks.records + buckets.records);
+  std::uint64_t maps = 0, fetches = 0;
+  for (const auto& run : r.runs) {
+    maps += run.mappers_executed;
+    fetches += std::uint64_t{run.mappers_executed} * run.reducers_executed;
+  }
+  EXPECT_EQ(blocks.checks, maps);
+  EXPECT_EQ(buckets.checks, fetches);
+  EXPECT_EQ(m.counter("payload.checks"), 170u);
+  EXPECT_EQ(m.counter("payload.checked_records"), 2u * 2u * 4u * 64u);
+}
+
 TEST(Metrics, MultiScenarioPublishesSimulatorCounters) {
   workloads::MultiScenarioConfig cfg;
   cfg.base = workloads::payload_config(6, 2, 64);
@@ -290,9 +314,7 @@ TEST(MapOutputStoreRegression, MissingChecksumIsNeverIntact) {
   out.buckets[0].push_back(mapred::Record{1, 2});
   out.buckets[1].push_back(mapred::Record{3, 4});
   // Pre-seeded sums for only the first bucket suppress auto-capture.
-  mapred::Checksum sum0;
-  sum0.add(out.buckets[0][0]);
-  out.bucket_sums.push_back(sum0);
+  out.bucket_sums.push_back(mapred::BlockDigest::of(out.buckets[0]));
   const mapred::MapOutputKey key{1, 0, 0};
   store.put(key, std::move(out));
 
