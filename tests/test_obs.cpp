@@ -217,6 +217,9 @@ TEST(Metrics, MultiScenarioPublishesSimulatorCounters) {
             static_cast<double>(ms.sim().peak_pending()));
   EXPECT_GT(m.counter("net.realloc_passes"), 0u);
   EXPECT_GT(m.counter("net.flows_reallocated"), 0u);
+  // Every tenant's store is summed: 2 chains x 2 jobs, each digesting
+  // the 6 x 64 records at map input and again at shuffle fetch.
+  EXPECT_EQ(m.counter("payload.checked_records"), 2u * 2u * 2u * 6u * 64u);
 }
 
 // --- invariant auditor -----------------------------------------------
