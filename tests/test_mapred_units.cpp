@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
+#include "common/rng.hpp"
 #include "mapred/map_output_store.hpp"
 #include "mapred/payload_store.hpp"
 #include "mapred/record.hpp"
@@ -28,6 +30,40 @@ TEST(Record, ChecksDeterministicAndValueSensitive) {
   EXPECT_EQ(record_byte_sum(r1), record_byte_sum(r1));
   // Byte sum of 64 bytes is bounded.
   EXPECT_LE(record_byte_sum(r1), 64u * 255u);
+}
+
+// The 8 values of Md5.RecordCheckKnownAnswers, pinned again here for
+// the byte-sum check and the chain UDFs.
+constexpr std::uint64_t kPinValues[] = {0,
+                                        1,
+                                        2,
+                                        100,
+                                        0xdeadbeefULL,
+                                        0x8000000000000000ULL,
+                                        0x0123456789abcdefULL,
+                                        ~0ULL};
+
+TEST(Record, ByteSumKnownAnswers) {
+  const std::uint64_t want[] = {7793, 8641, 8918, 8872,
+                                7528, 8109, 7052, 8425};
+  for (std::size_t i = 0; i < std::size(kPinValues); ++i) {
+    EXPECT_EQ(record_byte_sum(Record{7, kPinValues[i]}), want[i])
+        << "value=" << kPinValues[i];
+  }
+}
+
+TEST(Checksum, KnownAnswerOverSeededRecords) {
+  Rng rng(20261018);
+  std::vector<Record> recs(1000);
+  for (Record& r : recs) {
+    r.key = rng();
+    r.value = rng();
+  }
+  const Checksum c = checksum_of(recs);
+  EXPECT_EQ(c.md5_acc, 0xd343684110693606ULL);
+  EXPECT_EQ(c.sum_acc, 8151809u);
+  EXPECT_EQ(c.key_acc, 0x9826076ad6225650ULL);
+  EXPECT_EQ(c.count, 1000u);
 }
 
 TEST(Checksum, OrderIndependent) {
@@ -372,6 +408,42 @@ TEST(ChainUdfs, ReducerPreservesRecordCount) {
   reducer.reduce(7, values, 42, em);
   EXPECT_EQ(em.records().size(), 3u);
   for (const auto& r : em.records()) EXPECT_EQ(r.key, 7u);
+}
+
+TEST(ChainUdfs, KnownAnswersForFixedRecords) {
+  constexpr std::uint64_t kSalt = 0x5a17'0000'0042ULL;
+  const Record want_map[] = {
+      {0x8c98013a303f1148ULL, 0xc67fb00287c0aa51ULL},
+      {0x9d6de2f0782ffe4fULL, 0x7aba8d4f061a88d1ULL},
+      {0x8c352cc971ddaa1fULL, 0xf1c61ad5437de22cULL},
+      {0x135362a8b3d79eb4ULL, 0x66daeda4b5dd8889ULL},
+      {0x3911a370fe551f43ULL, 0xe918b9666f005ab1ULL},
+      {0xe5a7856a659bd211ULL, 0x3e130ef82e14ba05ULL},
+      {0x5ef1f2ee13b3b230ULL, 0x633c710b603bfe4eULL},
+      {0x32f38351c021210aULL, 0x300b70bebece3c3aULL}};
+  const std::uint64_t want_reduce[] = {
+      0x04526f66a3804bd9ULL, 0xe39513b761faa381ULL, 0xdaadf19f3f1855ceULL,
+      0x22d0ad5a45bdf887ULL, 0x05600adc1475eabdULL, 0xf94ef44091ce6b2fULL,
+      0xce2c11faaacdac16ULL, 0x0412b8da368846fdULL};
+
+  workloads::ChainMapper mapper;
+  Emitter mapped;
+  for (std::size_t i = 0; i < std::size(kPinValues); ++i) {
+    mapper.map({i * 1000003ULL, kPinValues[i]}, kSalt, mapped);
+  }
+  ASSERT_EQ(mapped.records().size(), std::size(want_map));
+  for (std::size_t i = 0; i < std::size(want_map); ++i) {
+    EXPECT_EQ(mapped.records()[i], want_map[i]) << "record " << i;
+  }
+
+  workloads::ChainReducer reducer;
+  Emitter reduced;
+  reducer.reduce(42, kPinValues, kSalt, reduced);
+  ASSERT_EQ(reduced.records().size(), std::size(want_reduce));
+  for (std::size_t i = 0; i < std::size(want_reduce); ++i) {
+    EXPECT_EQ(reduced.records()[i], (Record{42, want_reduce[i]}))
+        << "value " << i;
+  }
 }
 
 TEST(ChainUdfs, IdentityUdfsRoundTrip) {
