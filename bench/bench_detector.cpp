@@ -18,7 +18,8 @@
 // Like bench_multichain, emits a machine-readable summary
 // (--json_out=BENCH_detector.json) and can gate on a checked-in
 // baseline (--baseline=bench/BENCH_detector.baseline.json, exit 1 when
-// any record runs >2x slower than its baseline wall time).
+// any record runs >2x slower than its baseline wall time or any
+// simulated counter differs from its baseline value).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -236,7 +237,12 @@ int main(int argc, char** argv) {
                    baseline.c_str());
       return 1;
     }
-    if (rcmp::bench::count_regressions(records, base, 2.0) > 0) {
+    // Detection latencies, makespans and detector counts are
+    // seed-deterministic: gate them exactly.
+    if (rcmp::bench::count_regressions(
+            records, base, 2.0,
+            {"time_to_detect_s", "total_s", "slowdown", "heartbeats",
+             "false_suspicions", "reconciliations"}) > 0) {
       return 1;
     }
   }

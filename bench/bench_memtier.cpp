@@ -18,7 +18,8 @@
 // Like bench_detector, emits a machine-readable summary
 // (--json_out=BENCH_memtier.json) and can gate on a checked-in
 // baseline (--baseline=bench/BENCH_memtier.baseline.json, exit 1 when
-// any record runs >2x slower than its baseline wall time).
+// any record runs >2x slower than its baseline wall time or any
+// simulated counter differs from its baseline value).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -185,7 +186,11 @@ int main(int argc, char** argv) {
                    baseline.c_str());
       return 1;
     }
-    if (rcmp::bench::count_regressions(records, base, 2.0) > 0) {
+    // Makespans and spill counts are seed-deterministic: gate them
+    // exactly.
+    if (rcmp::bench::count_regressions(
+            records, base, 2.0,
+            {"disk_s", "mem_s", "speedup", "total_s", "spills"}) > 0) {
       return 1;
     }
   }
