@@ -3,35 +3,122 @@
 namespace rcmp {
 namespace {
 
-constexpr std::uint32_t kInitA = 0x67452301u;
-constexpr std::uint32_t kInitB = 0xefcdab89u;
-constexpr std::uint32_t kInitC = 0x98badcfeu;
-constexpr std::uint32_t kInitD = 0x10325476u;
-
-// Per-round left-rotate amounts.
-constexpr int kShift[64] = {
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-    5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
-
-// K[i] = floor(2^32 * abs(sin(i+1))).
-constexpr std::uint32_t kSine[64] = {
-    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a,
-    0xa8304613, 0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be,
-    0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340,
-    0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
-    0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8,
-    0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c,
-    0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, 0x289b7ec6, 0xeaa127fa,
-    0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
-    0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92,
-    0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
-    0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
+constexpr std::uint32_t kInitState[4] = {0x67452301u, 0xefcdab89u,
+                                          0x98badcfeu, 0x10325476u};
 
 constexpr std::uint32_t rotl32(std::uint32_t x, int c) {
   return (x << c) | (x >> (32 - c));
 }
+
+// One step of each round: a = b + rotl(a + fn(b, c, d) + m + k, s).
+// b is the previous step's result, so each step adds a + m + k first
+// and takes as few operations after b as it can: F and I two, H one
+// (c ^ d is ready early), and G one, because (b & d) | (c & ~d) is the
+// sum of two disjoint terms and c & ~d does not need b.
+inline void ff(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+               std::uint32_t d, std::uint32_t m, std::uint32_t k, int s) {
+  a = b + rotl32((d ^ (b & (c ^ d))) + (a + m + k), s);
+}
+inline void gg(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+               std::uint32_t d, std::uint32_t m, std::uint32_t k, int s) {
+  a = b + rotl32((b & d) + ((a + m + k) + (c & ~d)), s);
+}
+inline void hh(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+               std::uint32_t d, std::uint32_t m, std::uint32_t k, int s) {
+  a = b + rotl32((b ^ (c ^ d)) + (a + m + k), s);
+}
+inline void ii(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+               std::uint32_t d, std::uint32_t m, std::uint32_t k, int s) {
+  a = b + rotl32((c ^ (b | ~d)) + (a + m + k), s);
+}
+
+// The MD5 compression function over one block of 16 little-endian
+// words, fully unrolled: every step's shift, sine constant
+// (floor(2^32 * abs(sin(i + 1)))) and message-word index is a literal.
+// Inlined into each caller, so hash64_words folds the constant padding
+// block's words into its steps.
+[[gnu::always_inline]] inline void compress(std::uint32_t st[4],
+                                            const std::uint32_t m[16]) {
+  std::uint32_t a = st[0], b = st[1], c = st[2], d = st[3];
+
+  ff(a, b, c, d, m[0], 0xd76aa478, 7);
+  ff(d, a, b, c, m[1], 0xe8c7b756, 12);
+  ff(c, d, a, b, m[2], 0x242070db, 17);
+  ff(b, c, d, a, m[3], 0xc1bdceee, 22);
+  ff(a, b, c, d, m[4], 0xf57c0faf, 7);
+  ff(d, a, b, c, m[5], 0x4787c62a, 12);
+  ff(c, d, a, b, m[6], 0xa8304613, 17);
+  ff(b, c, d, a, m[7], 0xfd469501, 22);
+  ff(a, b, c, d, m[8], 0x698098d8, 7);
+  ff(d, a, b, c, m[9], 0x8b44f7af, 12);
+  ff(c, d, a, b, m[10], 0xffff5bb1, 17);
+  ff(b, c, d, a, m[11], 0x895cd7be, 22);
+  ff(a, b, c, d, m[12], 0x6b901122, 7);
+  ff(d, a, b, c, m[13], 0xfd987193, 12);
+  ff(c, d, a, b, m[14], 0xa679438e, 17);
+  ff(b, c, d, a, m[15], 0x49b40821, 22);
+
+  gg(a, b, c, d, m[1], 0xf61e2562, 5);
+  gg(d, a, b, c, m[6], 0xc040b340, 9);
+  gg(c, d, a, b, m[11], 0x265e5a51, 14);
+  gg(b, c, d, a, m[0], 0xe9b6c7aa, 20);
+  gg(a, b, c, d, m[5], 0xd62f105d, 5);
+  gg(d, a, b, c, m[10], 0x02441453, 9);
+  gg(c, d, a, b, m[15], 0xd8a1e681, 14);
+  gg(b, c, d, a, m[4], 0xe7d3fbc8, 20);
+  gg(a, b, c, d, m[9], 0x21e1cde6, 5);
+  gg(d, a, b, c, m[14], 0xc33707d6, 9);
+  gg(c, d, a, b, m[3], 0xf4d50d87, 14);
+  gg(b, c, d, a, m[8], 0x455a14ed, 20);
+  gg(a, b, c, d, m[13], 0xa9e3e905, 5);
+  gg(d, a, b, c, m[2], 0xfcefa3f8, 9);
+  gg(c, d, a, b, m[7], 0x676f02d9, 14);
+  gg(b, c, d, a, m[12], 0x8d2a4c8a, 20);
+
+  hh(a, b, c, d, m[5], 0xfffa3942, 4);
+  hh(d, a, b, c, m[8], 0x8771f681, 11);
+  hh(c, d, a, b, m[11], 0x6d9d6122, 16);
+  hh(b, c, d, a, m[14], 0xfde5380c, 23);
+  hh(a, b, c, d, m[1], 0xa4beea44, 4);
+  hh(d, a, b, c, m[4], 0x4bdecfa9, 11);
+  hh(c, d, a, b, m[7], 0xf6bb4b60, 16);
+  hh(b, c, d, a, m[10], 0xbebfbc70, 23);
+  hh(a, b, c, d, m[13], 0x289b7ec6, 4);
+  hh(d, a, b, c, m[0], 0xeaa127fa, 11);
+  hh(c, d, a, b, m[3], 0xd4ef3085, 16);
+  hh(b, c, d, a, m[6], 0x04881d05, 23);
+  hh(a, b, c, d, m[9], 0xd9d4d039, 4);
+  hh(d, a, b, c, m[12], 0xe6db99e5, 11);
+  hh(c, d, a, b, m[15], 0x1fa27cf8, 16);
+  hh(b, c, d, a, m[2], 0xc4ac5665, 23);
+
+  ii(a, b, c, d, m[0], 0xf4292244, 6);
+  ii(d, a, b, c, m[7], 0x432aff97, 10);
+  ii(c, d, a, b, m[14], 0xab9423a7, 15);
+  ii(b, c, d, a, m[5], 0xfc93a039, 21);
+  ii(a, b, c, d, m[12], 0x655b59c3, 6);
+  ii(d, a, b, c, m[3], 0x8f0ccc92, 10);
+  ii(c, d, a, b, m[10], 0xffeff47d, 15);
+  ii(b, c, d, a, m[1], 0x85845dd1, 21);
+  ii(a, b, c, d, m[8], 0x6fa87e4f, 6);
+  ii(d, a, b, c, m[15], 0xfe2ce6e0, 10);
+  ii(c, d, a, b, m[6], 0xa3014314, 15);
+  ii(b, c, d, a, m[13], 0x4e0811a1, 21);
+  ii(a, b, c, d, m[4], 0xf7537e82, 6);
+  ii(d, a, b, c, m[11], 0xbd3af235, 10);
+  ii(c, d, a, b, m[2], 0x2ad7d2bb, 15);
+  ii(b, c, d, a, m[9], 0xeb86d391, 21);
+
+  st[0] += a;
+  st[1] += b;
+  st[2] += c;
+  st[3] += d;
+}
+
+// The padding block of a 64-byte message: 0x80, zeros, then the bit
+// length 512 as a little-endian u64.
+constexpr std::uint32_t kPadBlock64[16] = {
+    0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 512, 0};
 
 std::uint32_t load_le32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
@@ -50,10 +137,7 @@ void store_le32(std::uint8_t* p, std::uint32_t v) {
 }  // namespace
 
 void Md5::reset() {
-  a_ = kInitA;
-  b_ = kInitB;
-  c_ = kInitC;
-  d_ = kInitD;
+  std::memcpy(state_, kInitState, sizeof(state_));
   total_len_ = 0;
   buffer_len_ = 0;
 }
@@ -61,34 +145,7 @@ void Md5::reset() {
 void Md5::process_block(const std::uint8_t* block) {
   std::uint32_t m[16];
   for (int i = 0; i < 16; ++i) m[i] = load_le32(block + 4 * i);
-
-  std::uint32_t a = a_, b = b_, c = c_, d = d_;
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
-    const std::uint32_t tmp = d;
-    d = c;
-    c = b;
-    b = b + rotl32(a + f + kSine[i] + m[g], kShift[i]);
-    a = tmp;
-  }
-  a_ += a;
-  b_ += b;
-  c_ += c;
-  d_ += d;
+  compress(state_, m);
 }
 
 void Md5::update(const void* data, std::size_t len) {
@@ -135,10 +192,7 @@ Md5::Digest Md5::finalize() {
   buffer_len_ = 0;
 
   Digest out;
-  store_le32(out.data() + 0, a_);
-  store_le32(out.data() + 4, b_);
-  store_le32(out.data() + 8, c_);
-  store_le32(out.data() + 12, d_);
+  for (int i = 0; i < 4; ++i) store_le32(out.data() + 4 * i, state_[i]);
   return out;
 }
 
@@ -147,6 +201,16 @@ std::uint64_t Md5::hash64(const void* data, std::size_t len) {
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i) v = (v << 8) | d[static_cast<std::size_t>(i)];
   return v;
+}
+
+std::uint64_t Md5::hash64_words(const std::uint32_t m[16]) {
+  std::uint32_t st[4] = {kInitState[0], kInitState[1], kInitState[2],
+                         kInitState[3]};
+  compress(st, m);
+  compress(st, kPadBlock64);
+  // Digest bytes 0..7 are a and b, little-endian.
+  return static_cast<std::uint64_t>(st[0]) |
+         (static_cast<std::uint64_t>(st[1]) << 32);
 }
 
 std::string Md5::to_hex(const Digest& d) {

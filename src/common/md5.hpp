@@ -43,12 +43,17 @@ class Md5 {
     return hash64(s.data(), s.size());
   }
 
+  /// hash64 of the 64-byte message whose little-endian 32-bit words are
+  /// `m`: one compression of `m`, one of the constant padding block. No
+  /// buffering — the single-record fast path of the workload's check.
+  static std::uint64_t hash64_words(const std::uint32_t m[16]);
+
   static std::string to_hex(const Digest& d);
 
  private:
   void process_block(const std::uint8_t* block);
 
-  std::uint32_t a_, b_, c_, d_;
+  std::uint32_t state_[4];  // a, b, c, d
   std::uint64_t total_len_ = 0;
   std::uint8_t buffer_[64];
   std::size_t buffer_len_ = 0;

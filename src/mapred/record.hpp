@@ -31,8 +31,9 @@ struct Record {
   bool operator==(const Record&) const = default;
 };
 
-/// Expand a record's value into its synthetic payload bytes. Every
-/// consumer (MD5 check, byte-sum check) sees the same expansion.
+/// Expand a record's value into its synthetic payload bytes: the
+/// little-endian bytes of 8 successive splitmix64 words. The byte-level
+/// reference for record_checks, which never materializes the bytes.
 inline void expand_payload(std::uint64_t value, std::uint8_t out[64]) {
   std::uint64_t s = value;
   for (int i = 0; i < 8; ++i) {
@@ -42,20 +43,31 @@ inline void expand_payload(std::uint64_t value, std::uint8_t out[64]) {
   }
 }
 
-/// MD5-based check: first 8 bytes of MD5(payload(value)).
-inline std::uint64_t record_md5_check(const Record& r) {
-  std::uint8_t payload[64];
-  expand_payload(r.value, payload);
-  return Md5::hash64(payload, sizeof(payload));
-}
+/// The paper's two per-record checks over a record's payload.
+struct RecordChecks {
+  std::uint64_t md5 = 0;  // first 8 bytes of MD5(payload), little-endian
+  std::uint64_t sum = 0;  // sum of all 64 payload bytes
+};
 
-/// Byte-sum based check: sum of all payload bytes.
-inline std::uint64_t record_byte_sum(const Record& r) {
-  std::uint8_t payload[64];
-  expand_payload(r.value, payload);
-  std::uint64_t s = 0;
-  for (std::uint8_t b : payload) s += b;
-  return s;
+/// Both checks from one expansion of the value into its 8 payload
+/// words. The words go straight into MD5's one-block entry. The byte
+/// sum adds each word's bytes as four 16-bit lanes (even bytes, odd
+/// bytes): a lane gains at most 2 * 255 per word, 4080 over 8 words,
+/// so no lane carries into the next and the sum is exact.
+inline RecordChecks record_checks(const Record& r) {
+  constexpr std::uint64_t kEvenBytes = 0x00FF00FF00FF00FFULL;
+  std::uint32_t m[16];
+  std::uint64_t lanes = 0;
+  std::uint64_t s = r.value;
+  for (int i = 0; i < 8; ++i) {
+    const std::uint64_t w = splitmix64(s);
+    m[2 * i] = static_cast<std::uint32_t>(w);
+    m[2 * i + 1] = static_cast<std::uint32_t>(w >> 32);
+    lanes += (w & kEvenBytes) + ((w >> 8) & kEvenBytes);
+  }
+  // Multiplying by 1 in every lane adds all four lanes into the top
+  // one; the total (at most 64 * 255) fits in 16 bits.
+  return {Md5::hash64_words(m), (lanes * 0x0001000100010001ULL) >> 48};
 }
 
 /// Order-independent aggregate over a record multiset. Two datasets have
@@ -70,8 +82,9 @@ struct Checksum {
   std::uint64_t count = 0;
 
   void add(const Record& r) {
-    md5_acc += record_md5_check(r);
-    sum_acc += record_byte_sum(r);
+    const RecordChecks c = record_checks(r);
+    md5_acc += c.md5;
+    sum_acc += c.sum;
     key_acc += mix64(r.key);
     ++count;
   }
@@ -90,7 +103,7 @@ Checksum checksum_of(std::span<const Record> records);
 /// captured when the data is written and recomputed when it is read.
 /// MD5-free: mix64 is a bijection, so changing any single record's key
 /// or value always changes `acc`. The workload's own MD5 and byte-sum
-/// checks live in Checksum.
+/// checks (record_checks) live in Checksum.
 struct BlockDigest {
   std::uint64_t acc = 0;
   std::uint64_t count = 0;

@@ -209,8 +209,28 @@ TEST(Md5, RecordCheckKnownAnswers) {
       0xd215f40cab8d8b67ULL, 0x4cd00756d8432f38ULL, 0xe744c53f14fd9306ULL,
       0x7e99cafa957807cbULL, 0xd555e28079ddb670ULL};
   for (std::size_t i = 0; i < std::size(values); ++i) {
-    EXPECT_EQ(mapred::record_md5_check(mapred::Record{7, values[i]}), want[i])
+    EXPECT_EQ(mapred::record_checks(mapred::Record{7, values[i]}).md5,
+              want[i])
         << "value=" << values[i];
+  }
+}
+
+// The one-block entry equals the streaming hash64 of the same 64 bytes,
+// including all-zero and all-ones blocks.
+TEST(Md5, Hash64WordsMatchesStreamingHash) {
+  Rng rng(64);
+  for (int trial = 0; trial < 1002; ++trial) {
+    std::uint32_t m[16];
+    std::uint8_t bytes[64];
+    for (int i = 0; i < 16; ++i) {
+      m[i] = trial == 0   ? 0u
+             : trial == 1 ? ~0u
+                          : static_cast<std::uint32_t>(rng());
+      for (int b = 0; b < 4; ++b)
+        bytes[4 * i + b] = static_cast<std::uint8_t>(m[i] >> (8 * b));
+    }
+    ASSERT_EQ(Md5::hash64_words(m), Md5::hash64(bytes, sizeof(bytes)))
+        << "trial=" << trial;
   }
 }
 

@@ -25,11 +25,28 @@ TEST(Record, PayloadExpansionDeterministic) {
 
 TEST(Record, ChecksDeterministicAndValueSensitive) {
   const Record r1{1, 100}, r2{1, 101};
-  EXPECT_EQ(record_md5_check(r1), record_md5_check(r1));
-  EXPECT_NE(record_md5_check(r1), record_md5_check(r2));
-  EXPECT_EQ(record_byte_sum(r1), record_byte_sum(r1));
+  EXPECT_EQ(record_checks(r1).md5, record_checks(r1).md5);
+  EXPECT_NE(record_checks(r1).md5, record_checks(r2).md5);
+  EXPECT_EQ(record_checks(r1).sum, record_checks(r1).sum);
   // Byte sum of 64 bytes is bounded.
-  EXPECT_LE(record_byte_sum(r1), 64u * 255u);
+  EXPECT_LE(record_checks(r1).sum, 64u * 255u);
+}
+
+// record_checks never materializes the payload bytes; it must agree
+// with the streaming MD5 and a plain byte loop over expand_payload.
+TEST(Record, ChecksMatchByteLevelReference) {
+  Rng rng(15);
+  for (int i = 0; i < 100000; ++i) {
+    const Record r{static_cast<std::uint64_t>(i), rng()};
+    std::uint8_t payload[64];
+    expand_payload(r.value, payload);
+    std::uint64_t sum = 0;
+    for (std::uint8_t b : payload) sum += b;
+    const RecordChecks c = record_checks(r);
+    ASSERT_EQ(c.md5, Md5::hash64(payload, sizeof(payload)))
+        << "value=" << r.value;
+    ASSERT_EQ(c.sum, sum) << "value=" << r.value;
+  }
 }
 
 // The 8 values of Md5.RecordCheckKnownAnswers, pinned again here for
@@ -47,7 +64,7 @@ TEST(Record, ByteSumKnownAnswers) {
   const std::uint64_t want[] = {7793, 8641, 8918, 8872,
                                 7528, 8109, 7052, 8425};
   for (std::size_t i = 0; i < std::size(kPinValues); ++i) {
-    EXPECT_EQ(record_byte_sum(Record{7, kPinValues[i]}), want[i])
+    EXPECT_EQ(record_checks(Record{7, kPinValues[i]}).sum, want[i])
         << "value=" << kPinValues[i];
   }
 }
