@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the simulator substrate:
-// event-queue throughput, flow reallocation cost, and an end-to-end
-// chain simulation — the knobs that bound how large a cluster the
-// reproduction can sweep.
+// event-queue throughput, flow reallocation cost, the per-record
+// payload checks, and an end-to-end chain simulation — the knobs that
+// bound how large a cluster the reproduction can sweep.
 //
 // Beyond the console table, the binary emits a machine-readable summary
 // (--json_out=BENCH_simcore.json) and can gate on a checked-in baseline
@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/rng.hpp"
+#include "mapred/record.hpp"
 #include "obs/trace.hpp"
 #include "resources/flow_network.hpp"
 #include "sim/simulation.hpp"
@@ -232,6 +234,33 @@ void BM_TracerEmit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_TracerEmit)->Arg(0)->Arg(1);
+
+// The paper's two per-record checks (MD5 and byte sum), which every
+// chain mapper and reducer and every Checksum::add runs once per
+// record: the host cost of a payload UDF.
+void BM_RecordChecks(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  std::vector<mapred::Record> records(batch);
+  Rng rng(4096);
+  for (mapred::Record& r : records) {
+    r.key = rng();
+    r.value = rng();
+  }
+  for (auto _ : state) {
+    std::uint64_t md5_acc = 0;
+    std::uint64_t sum_acc = 0;
+    for (const mapred::Record& r : records) {
+      const mapred::RecordChecks c = mapred::record_checks(r);
+      md5_acc += c.md5;
+      sum_acc += c.sum;
+    }
+    benchmark::DoNotOptimize(md5_acc);
+    benchmark::DoNotOptimize(sum_acc);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_RecordChecks)->Arg(4096);
 
 void BM_SticChain(benchmark::State& state) {
   for (auto _ : state) {
