@@ -5,12 +5,17 @@
 //
 // Beyond the console table, the binary emits a machine-readable summary
 // (--json_out=BENCH_simcore.json) and can gate on a checked-in baseline
-// (--baseline=..., exit 1 when any benchmark runs >2x slower or a
-// deterministic reallocs / flows_touched / fill_rounds counter differs
+// (--baseline=..., exit 1 when any benchmark's median runs >2x slower or
+// a deterministic reallocs / flows_touched / fill_rounds counter differs
 // from its baseline value); CI runs it as a smoke job on every push.
+// Every benchmark runs kRepetitions times unless the command line says
+// otherwise (--benchmark_repetitions=N): a record's real_time_ns is the
+// median repetition, with the max-min range beside it as spread_ns, so
+// one noisy repetition on a loaded host cannot fail the gate alone.
 // See EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -273,8 +278,10 @@ void BM_SticChain(benchmark::State& state) {
 }
 BENCHMARK(BM_SticChain)->Unit(benchmark::kMillisecond);
 
-// Console output as usual, plus a capture of every run so main() can
-// emit the JSON summary and apply the baseline gate.
+constexpr int kRepetitions = 5;
+
+// Console output as usual, plus a capture of every repetition so main()
+// can emit the JSON summary and apply the baseline gate.
 class CaptureReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
@@ -292,20 +299,43 @@ class CaptureReporter : public benchmark::ConsoleReporter {
       for (const auto& [name, counter] : run.counters) {
         rec.counters.emplace_back(name, counter.value);
       }
-      if (rec.real_time_ns > 0.0) {
-        rec.counters.emplace_back("ns_per_op", rec.real_time_ns);
+      auto group = std::find_if(
+          reps_.begin(), reps_.end(),
+          [&](const auto& g) { return g.front().name == rec.name; });
+      if (group == reps_.end()) {
+        reps_.emplace_back();
+        group = reps_.end() - 1;
       }
-      records_.push_back(std::move(rec));
+      group->push_back(std::move(rec));
     }
     ConsoleReporter::ReportRuns(reports);
   }
 
-  const std::vector<rcmp::bench::BenchRecord>& records() const {
-    return records_;
+  /// One record per benchmark: the median repetition (the lower middle
+  /// one for an even count) with its counters, plus the spread.
+  std::vector<rcmp::bench::BenchRecord> records() const {
+    std::vector<rcmp::bench::BenchRecord> out;
+    for (auto group : reps_) {
+      std::sort(group.begin(), group.end(),
+                [](const auto& a, const auto& b) {
+                  return a.real_time_ns < b.real_time_ns;
+                });
+      rcmp::bench::BenchRecord rec = group[(group.size() - 1) / 2];
+      if (rec.real_time_ns > 0.0) {
+        rec.counters.emplace_back("ns_per_op", rec.real_time_ns);
+      }
+      rec.counters.emplace_back("spread_ns", group.back().real_time_ns -
+                                                 group.front().real_time_ns);
+      rec.counters.emplace_back("repetitions",
+                                static_cast<double>(group.size()));
+      out.push_back(std::move(rec));
+    }
+    return out;
   }
 
  private:
-  std::vector<rcmp::bench::BenchRecord> records_;
+  // Repetitions per benchmark, in first-run order.
+  std::vector<std::vector<rcmp::bench::BenchRecord>> reps_;
 };
 
 }  // namespace
@@ -313,8 +343,12 @@ class CaptureReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   std::string json_out;
   std::string baseline;
-  std::vector<char*> passthrough;
-  for (int i = 0; i < argc; ++i) {
+  // The default comes right after argv[0], so a repetitions flag on the
+  // command line (parsed later) overrides it.
+  std::string default_reps = "--benchmark_repetitions=";
+  default_reps += std::to_string(kRepetitions);
+  std::vector<char*> passthrough = {argv[0], default_reps.data()};
+  for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
       json_out = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
@@ -333,8 +367,9 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
+  const std::vector<rcmp::bench::BenchRecord> records = reporter.records();
   if (!json_out.empty() &&
-      !rcmp::bench::write_bench_json(json_out, reporter.records())) {
+      !rcmp::bench::write_bench_json(json_out, records)) {
     std::fprintf(stderr, "failed to write %s\n", json_out.c_str());
     return 1;
   }
@@ -347,7 +382,7 @@ int main(int argc, char** argv) {
     }
     // Pass and flow-visit counts are deterministic: gate them exactly.
     if (rcmp::bench::count_regressions(
-            reporter.records(), base, 2.0,
+            records, base, 2.0,
             {"reallocs", "flows_touched", "fill_rounds"}) > 0) {
       return 1;
     }

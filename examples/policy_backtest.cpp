@@ -5,8 +5,8 @@
 //
 //   $ ./policy_backtest
 //   $ ./policy_backtest --seed 7 --json scoreboard.json
-//   $ ./policy_backtest --bench-json BENCH_policy.json \
-//         --baseline ../bench/BENCH_policy.baseline.json
+//   $ ./policy_backtest --bench-json BENCH_policy.json
+//         --baseline ../bench/BENCH_policy.baseline.json   (one command)
 //
 // With --baseline the run fails (exit 1) unless every (scene, policy)
 // row reproduces the checked-in baseline exactly: simulated makespan,

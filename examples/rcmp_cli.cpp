@@ -305,7 +305,7 @@ int main(int argc, char** argv) {
   core::ChainResult result;
   try {
     // A policy knob without --policy still gets validated (against the
-    // inert static shim), so a typo'd threshold fails fast either way.
+    // static policy), so a typo'd threshold fails fast either way.
     if (!policy_name.empty() || policy_knob_set) {
       policy_params.oracle_fault_ordinals = failures.at_job_ordinals;
       strategy.policy = core::make_policy(

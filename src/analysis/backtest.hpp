@@ -82,7 +82,7 @@ void fault_knowledge(const cluster::FaultSchedule& schedule,
                      std::vector<std::uint32_t>* kinds);
 
 /// Replay one scene under one named policy ("static" may also be spelled
-/// "" — both run the inert shim). Oracle automatically receives the
+/// "" — both run StaticPolicy). Oracle automatically receives the
 /// scene's fault ordinals.
 PolicyScore run_scene(const BacktestScene& scene,
                       const std::string& policy_name,

@@ -35,8 +35,7 @@ Middleware::Middleware(mapred::Env env, ChainSpec chain,
     : env_(env),
       chain_(std::move(chain)),
       source_input_(source_input),
-      strategy_(strategy),
-      strategy_boot_(strategy),
+      strategy_(std::move(strategy)),
       engine_cfg_(engine_cfg),
       rng_(seed),
       tenant_(tenant) {
@@ -48,25 +47,26 @@ Middleware::Middleware(mapred::Env env, ChainSpec chain,
     // capacity frees up elsewhere in the cluster.
     env_.slots = &tenant_.scheduler->broker(tenant_.chain_id);
     env_.chain_tag = static_cast<std::uint16_t>(tenant_.chain_id + 1);
-    tag_ = "t" + std::to_string(tenant_.chain_id) + ".";
+    tag_ = "t";
+    tag_ += std::to_string(tenant_.chain_id);
+    tag_ += '.';
     tenant_.scheduler->set_kick(tenant_.chain_id, [this] {
       if (current_ != nullptr && current_->running()) current_->poke();
     });
   }
-  if (strategy_.policy != nullptr && !strategy_.policy->inert()) {
+  if (strategy_.policy != nullptr) {
     // Per-chain clone: adaptive state never leaks across the chains of
     // a multi-tenant run or across reruns of one StrategyConfig. The
     // engine-side seams (retry budget, speculation gate) are installed
     // on env_ before any JobRun copies it.
     policy_ = strategy_.policy->clone();
-    env_.retry_budget = [this](std::uint32_t attempts) -> std::uint32_t {
-      (void)attempts;
+    env_.retry_budget = [this](std::uint32_t) -> std::uint32_t {
       apply_policy_decision(
           policy_->on_task_retry(
               policy_context(current_logical_, current_recompute_)),
           PolicyHook::kTaskRetry, current_logical_);
-      return policy_max_attempts_ != kPolicyKeep
-                 ? policy_max_attempts_
+      return pending_.max_task_attempts != kPolicyKeep
+                 ? pending_.max_task_attempts
                  : engine_cfg_.max_task_attempts;
     };
     env_.reduce_spec_gate =
@@ -103,16 +103,15 @@ Middleware::Middleware(mapred::Env env, ChainSpec chain,
   const std::uint32_t default_reducers =
       env_.cluster.alive_compute_count() *
       env_.cluster.spec().reduce_slots;
-  files_.reserve(chain_.jobs.size());
+  files_.assign(chain_.jobs.size(), 0);
+  own_files_.assign(chain_.jobs.size(), 0);
   for (std::uint32_t l = 0; l < chain_.jobs.size(); ++l) {
     JobTemplate& t = chain_.jobs[l];
     if (t.num_reducers == 0) t.num_reducers = default_reducers;
-    files_.push_back(env_.dfs.create_file(
-        "out/" + t.name, t.num_reducers, file_replication(l)));
+    create_own_file(l);
   }
   completed_once_.assign(chain_.jobs.size(), false);
   attempt_count_.assign(chain_.jobs.size(), 0);
-  own_files_ = files_;
   borrowed_.assign(chain_.jobs.size(), false);
   published_.assign(chain_.jobs.size(), false);
   compute_fingerprints();
@@ -192,6 +191,22 @@ std::uint32_t Middleware::file_replication(std::uint32_t logical) const {
     return strategy_.hybrid_replication;
   }
   return 1;
+}
+
+void Middleware::create_own_file(std::uint32_t logical) {
+  const JobTemplate& t = chain_.jobs[logical];
+  std::string name = "out/";
+  name += t.name;
+  files_[logical] = env_.dfs.create_file(name, t.num_reducers,
+                                         file_replication(logical));
+  own_files_[logical] = files_[logical];
+}
+
+Bytes Middleware::storage_used() const {
+  // Multi-tenant: the shared ground truth (DFS + every chain's store).
+  return tenant_.scheduler != nullptr
+             ? tenant_.scheduler->storage_total()
+             : env_.dfs.total_used() + env_.map_outputs.total_used();
 }
 
 bool Middleware::cache_enabled() const {
@@ -285,12 +300,7 @@ void Middleware::revert_borrow(std::uint32_t logical) {
   borrowed_[logical] = false;
   files_[logical] = own_files_[logical];
   completed_once_[logical] = false;
-  if (!env_.dfs.file_exists(files_[logical])) {
-    files_[logical] = env_.dfs.create_file(
-        "out/" + chain_.jobs[logical].name, chain_.jobs[logical].num_reducers,
-        file_replication(logical));
-    own_files_[logical] = files_[logical];
-  }
+  if (!env_.dfs.file_exists(files_[logical])) create_own_file(logical);
   RCMP_INFO() << "t=" << env_.sim.now() << " middleware: " << tag_
               << "reverted cache borrow of job " << logical;
 }
@@ -310,8 +320,8 @@ void Middleware::revalidate_borrows() {
 void Middleware::maybe_publish(std::uint32_t logical) {
   if (!cache_enabled() || fps_[logical] == 0 || borrowed_[logical]) return;
   const bool admit =
-      policy_cache_admit_ >= 0
-          ? policy_cache_admit_ == 1
+      pending_.cache_admit >= 0
+          ? pending_.cache_admit == 1
           : tenant_.result_cache->config().admit_by_default;
   if (!admit) return;
   const bool is_final = logical + 1 == chain_.jobs.size();
@@ -326,7 +336,6 @@ void Middleware::maybe_publish(std::uint32_t logical) {
 }
 
 std::uint32_t Middleware::split_factor_now() const {
-  if (policy_split_override_ > 0) return policy_split_override_;
   if (strategy_.strategy != Strategy::kRcmpSplit) return 1;
   if (strategy_.split_factor > 0) return strategy_.split_factor;
   // Surviving compute nodes - 1 (the paper's 8 on STIC, 59 on DCO).
@@ -365,10 +374,7 @@ PolicyContext Middleware::policy_context(std::uint32_t next_logical,
     ctx.quarantines = d.quarantines();
     ctx.worst_node_task_failures = d.max_task_failures();
   }
-  ctx.storage_used =
-      tenant_.scheduler != nullptr
-          ? tenant_.scheduler->storage_total()
-          : env_.dfs.total_used() + env_.map_outputs.total_used();
+  ctx.storage_used = storage_used();
   ctx.storage_budget = strategy_.storage_budget;
   return ctx;
 }
@@ -378,23 +384,15 @@ void Middleware::apply_policy_decision(const PolicyDecision& d,
                                        std::uint32_t job) {
   if (!d.overrides()) return;  // keep-everything: no counter, no event
   ++result_.policy_decisions;
-  if (d.mode >= 0) strategy_.strategy = static_cast<Strategy>(d.mode);
-  if (d.split_factor != kPolicyKeep) {
-    policy_split_override_ = d.split_factor;
-  }
   if (d.replicate_now) {
-    policy_replicate_next_ = true;
-    policy_replication_ = d.replication != kPolicyKeep ? d.replication : 2;
+    pending_.replicate_now = true;
+    pending_.replication = d.replication != kPolicyKeep ? d.replication : 2;
   }
-  if (d.tier >= 0) policy_tier_ = d.tier;
-  if (d.speculate_reducers >= 0) policy_speculate_ = d.speculate_reducers;
+  if (d.speculate_reducers) pending_.speculate_reducers = true;
   if (d.max_task_attempts != kPolicyKeep) {
-    policy_max_attempts_ = d.max_task_attempts;
+    pending_.max_task_attempts = d.max_task_attempts;
   }
-  if (d.retry_backoff_base >= 0.0) {
-    policy_backoff_base_ = d.retry_backoff_base;
-  }
-  if (d.cache_admit >= 0) policy_cache_admit_ = d.cache_admit;
+  if (d.cache_admit >= 0) pending_.cache_admit = d.cache_admit;
   if (env_.obs != nullptr) {
     env_.obs->metrics.add(tag_ + "policy.decisions");
     env_.obs->metrics.add(tag_ + "policy.decisions." +
@@ -406,63 +404,82 @@ void Middleware::apply_policy_decision(const PolicyDecision& d,
   }
 }
 
-void Middleware::apply_policy_replication(const PlannedSubmission& sub) {
-  if (!policy_replicate_next_) return;
-  // Mirror the dynamic-hybrid constraints: only an initial-style run
-  // whose output is not already replicated can become a point. The
-  // flag stays pending across ineligible submissions (the recompute
-  // runs of a replan, already-replicated outputs), so a bad-window
-  // decision lands on the recompute frontier — the first initial run
-  // after the failure — instead of evaporating mid-replan.
-  if (sub.recompute ||
-      env_.dfs.replication(files_[sub.logical_id]) != 1) {
+void Middleware::decide_persistence(const PlannedSubmission& sub) {
+  // An output already replicated (kReplication, every-k hybrid, an
+  // earlier point on this file) keeps its placement, and only an
+  // initial-style run can become a durable point.
+  const dfs::FileId out = files_[sub.logical_id];
+  if (env_.dfs.replication(out) != 1) return;
+  const bool initial = !sub.recompute;
+  // A policy's replicate-now stays pending across ineligible
+  // submissions (the recompute runs of a replan, already-replicated
+  // outputs), so a bad-window decision lands on the recompute frontier
+  // — the first initial run after the failure — instead of evaporating
+  // mid-replan.
+  if (pending_.replicate_now && initial) {
+    pending_.replicate_now = false;
+    mark_replication_point(sub.logical_id, pending_.replication, true);
     return;
   }
-  policy_replicate_next_ = false;
-  if (policy_tier_ ==
-          static_cast<std::int8_t>(cluster::StorageTier::kMemory) &&
-      env_.cluster.ram_enabled()) {
-    // The policy asked for a memory-tier persistence point instead of
-    // durable replicas: no storage cost, RAM-speed reuse, volatile.
-    policy_tier_ = -1;
-    env_.dfs.set_file_tier(files_[sub.logical_id],
-                           cluster::StorageTier::kMemory);
-    if (env_.obs != nullptr) {
-      env_.obs->metrics.add(tag_ + "policy.memory_points");
-      env_.obs->metrics.add("storage.tier.promotions");
-      env_.obs->tracer.emit(env_.sim.now(), obs::EventType::kPromote, 1,
-                            obs::kNoField, sub.logical_id, obs::kNoField,
-                            0.0, chain_tag());
-    }
-    RCMP_INFO() << "t=" << env_.sim.now() << " middleware: policy "
-                << policy_->name()
-                << " persists output of job " << sub.logical_id
-                << " to the memory tier";
+  if (!strategy_.is_rcmp()) return;
+  // Dynamic hybrid (§IV-C future work): replication points spaced by
+  // Young's interval. With the memory tier on the choice is three-way:
+  // replicate (survives node loss), persist to disk (survives compute
+  // loss), or keep the output in cluster RAM (cheapest — dies with the
+  // writer's process), each durable choice spaced by its own interval.
+  if (strategy_.hybrid_dynamic && initial &&
+      young_point_due(strategy_.hybrid_replication_overhead,
+                      time_since_repl_point_)) {
+    mark_replication_point(sub.logical_id, strategy_.hybrid_replication,
+                           false);
     return;
   }
-  policy_tier_ = -1;
-  const Bytes used =
-      tenant_.scheduler != nullptr
-          ? tenant_.scheduler->storage_total()
-          : env_.dfs.total_used() + env_.map_outputs.total_used();
-  env_.dfs.set_replication(files_[sub.logical_id], policy_replication_);
-  ++result_.replication_points;
-  ++result_.policy_pre_replications;
-  journal_append(JournalRecordType::kReplicationPoint, sub.logical_id,
-                 policy_replication_, 0);
+  if (!memory_tier_on()) return;
+  if (strategy_.hybrid_dynamic && initial &&
+      young_point_due(strategy_.memory_disk_overhead,
+                      time_since_disk_point_)) {
+    // The disk timer resets when the run completes (on_run_done).
+    env_.dfs.set_file_tier(out, cluster::StorageTier::kDisk);
+    RCMP_INFO() << "t=" << env_.sim.now()
+                << " middleware: three-way hybrid persists output of job "
+                << sub.logical_id << " to disk";
+    return;
+  }
+  if (env_.dfs.file_tier(out) == cluster::StorageTier::kMemory) return;
+  env_.dfs.set_file_tier(out, cluster::StorageTier::kMemory);
   if (env_.obs != nullptr) {
-    // The auditor cross-checks budget legality (and throws on an
-    // over-budget decision) before the point is traced.
-    env_.obs->check_policy_replication(used, strategy_.storage_budget);
-    env_.obs->metrics.add(tag_ + "policy.pre_replications");
-    env_.obs->tracer.emit(env_.sim.now(),
-                          obs::EventType::kReplicationPoint, 1,
-                          obs::kNoField, sub.logical_id, obs::kNoField,
-                          0.0, chain_tag());
+    env_.obs->metrics.add("storage.tier.promotions");
+    env_.obs->tracer.emit(env_.sim.now(), obs::EventType::kPromote, 0,
+                          obs::kNoField, sub.logical_id, obs::kNoField, 0.0,
+                          chain_tag());
   }
-  RCMP_INFO() << "t=" << env_.sim.now() << " middleware: policy "
-              << policy_->name() << " pre-replicates output of job "
-              << sub.logical_id << " x" << policy_replication_;
+}
+
+void Middleware::mark_replication_point(std::uint32_t logical,
+                                        std::uint32_t replicas,
+                                        bool by_policy) {
+  const Bytes used = storage_used();
+  env_.dfs.set_replication(files_[logical], replicas);
+  ++result_.replication_points;
+  if (by_policy) ++result_.policy_pre_replications;
+  journal_append(JournalRecordType::kReplicationPoint, logical, replicas,
+                 0);
+  if (env_.obs != nullptr) {
+    if (by_policy) {
+      // The auditor cross-checks budget legality (and throws on an
+      // over-budget decision) before the point is traced.
+      env_.obs->check_policy_replication(used, strategy_.storage_budget);
+      env_.obs->metrics.add(tag_ + "policy.pre_replications");
+    }
+    env_.obs->tracer.emit(env_.sim.now(),
+                          obs::EventType::kReplicationPoint,
+                          by_policy ? 1 : 0, obs::kNoField, logical,
+                          obs::kNoField, 0.0, chain_tag());
+  }
+  RCMP_INFO() << "t=" << env_.sim.now() << " middleware: "
+              << (by_policy ? policy_->name() : "dynamic hybrid")
+              << " replicates output of job " << logical << " x"
+              << replicas;
 }
 
 void Middleware::run(std::function<void(const ChainResult&)> on_complete) {
@@ -476,18 +493,19 @@ void Middleware::run(std::function<void(const ChainResult&)> on_complete) {
         policy_->on_chain_admission(policy_context(0, false)),
         PolicyHook::kChainAdmission, 0);
   }
-  std::vector<PlannerJobState> states(chain_.jobs.size());
-  if (cache_enabled()) {
-    auto plan = plan_chain_with_cache(states, [this](std::uint32_t j) {
-      return probe_and_borrow(j);
-    });
-    for (PlannedSubmission& s : plan.submissions)
-      queue_.push_back(std::move(s));
-  } else {
-    for (const PlannedSubmission& s : plan_chain(states))
-      queue_.push_back(s);
+  for (PlannedSubmission& s :
+       plan_from(std::vector<PlannerJobState>(chain_.jobs.size()))) {
+    queue_.push_back(std::move(s));
   }
   submit_next();
+}
+
+std::vector<PlannedSubmission> Middleware::plan_from(
+    const std::vector<PlannerJobState>& states) {
+  if (!cache_enabled()) return plan_chain(states);
+  return plan_chain_with_cache(states, [this](std::uint32_t j) {
+           return probe_and_borrow(j);
+         }).submissions;
 }
 
 std::vector<std::uint32_t> Middleware::deps_of(std::uint32_t logical) const {
@@ -517,7 +535,7 @@ bool Middleware::input_available(std::uint32_t logical) const {
 void Middleware::submit_next() {
   if (chain_done_) return;
   if (queue_.empty()) {
-    finish_chain();
+    close_chain(true);
     return;
   }
   const PlannedSubmission sub = queue_.front();
@@ -544,60 +562,8 @@ void Middleware::submit_next() {
         policy_->on_job_boundary(
             policy_context(sub.logical_id, sub.recompute)),
         PolicyHook::kJobBoundary, sub.logical_id);
-    apply_policy_replication(sub);
   }
-
-  // Persistence-tier choice for this job's output. With the memory
-  // tier off this is the original dynamic hybrid (§IV-C future work):
-  // per job, decide whether its output becomes a replication point —
-  // checkpoint-interval spacing. With StrategyConfig::memory_tier on,
-  // the decision is three-way: replicate (survives node loss), persist
-  // to disk (survives compute loss), or keep the output in cluster RAM
-  // (cheapest — dies with the writer's process), the durable choices
-  // each spaced by their own Young's interval.
-  const bool tier_eligible =
-      strategy_.is_rcmp() &&
-      env_.dfs.replication(files_[sub.logical_id]) == 1;
-  if (tier_eligible && strategy_.hybrid_dynamic && !sub.recompute &&
-      should_replicate_now()) {
-    env_.dfs.set_replication(files_[sub.logical_id],
-                             strategy_.hybrid_replication);
-    ++result_.replication_points;
-    journal_append(JournalRecordType::kReplicationPoint, sub.logical_id,
-                   strategy_.hybrid_replication, 0);
-    if (env_.obs != nullptr) {
-      env_.obs->tracer.emit(env_.sim.now(),
-                            obs::EventType::kReplicationPoint, 0,
-                            obs::kNoField, sub.logical_id, obs::kNoField,
-                            0.0, chain_tag());
-    }
-    RCMP_INFO() << "t=" << env_.sim.now()
-                << " middleware: dynamic hybrid replicates output of job "
-                << sub.logical_id;
-  } else if (tier_eligible && strategy_.memory_tier &&
-             env_.cluster.ram_enabled()) {
-    if (strategy_.hybrid_dynamic && !sub.recompute &&
-        should_persist_disk_now()) {
-      // Disk persistence point: leave the output on the disk tier; the
-      // interval timer resets when the run completes (on_run_done).
-      env_.dfs.set_file_tier(files_[sub.logical_id],
-                             cluster::StorageTier::kDisk);
-      RCMP_INFO() << "t=" << env_.sim.now()
-                  << " middleware: three-way hybrid persists output of "
-                     "job "
-                  << sub.logical_id << " to disk";
-    } else if (env_.dfs.file_tier(files_[sub.logical_id]) !=
-               cluster::StorageTier::kMemory) {
-      env_.dfs.set_file_tier(files_[sub.logical_id],
-                             cluster::StorageTier::kMemory);
-      if (env_.obs != nullptr) {
-        env_.obs->metrics.add("storage.tier.promotions");
-        env_.obs->tracer.emit(env_.sim.now(), obs::EventType::kPromote, 0,
-                              obs::kNoField, sub.logical_id, obs::kNoField,
-                              0.0, chain_tag());
-      }
-    }
-  }
+  decide_persistence(sub);
 
   mapred::JobSpec spec;
   spec.name = tpl.name;
@@ -613,8 +579,7 @@ void Middleware::submit_next() {
       (strategy_.strategy == Strategy::kRcmpScatter && sub.recompute)
           ? dfs::PlacementPolicy::kScatter
           : dfs::PlacementPolicy::kLocalFirst;
-  if (strategy_.is_rcmp() && strategy_.memory_tier &&
-      env_.cluster.ram_enabled()) {
+  if (memory_tier_on()) {
     // Persisted map outputs live in the mapper's RAM: shuffles and
     // Fig. 5 reuse run at memory speed, spilling to disk under RAM
     // pressure and dying with the process on compute failure.
@@ -641,20 +606,10 @@ void Middleware::submit_next() {
     env_.obs->audit(obs::AuditPoint::kJobStart);
   }
   mapred::EngineConfig run_cfg = engine_cfg_;
-  if (policy_ != nullptr) {
-    if (policy_speculate_ == 1) {
-      // Reducer speculation needs the periodic speculation check.
-      run_cfg.speculative_execution = true;
-      run_cfg.speculative_reducers = true;
-    } else if (policy_speculate_ == 0) {
-      run_cfg.speculative_reducers = false;
-    }
-    if (policy_max_attempts_ != kPolicyKeep) {
-      run_cfg.max_task_attempts = policy_max_attempts_;
-    }
-    if (policy_backoff_base_ >= 0.0) {
-      run_cfg.retry_backoff_base = policy_backoff_base_;
-    }
+  if (pending_.speculate_reducers) {
+    // Reducer speculation needs the periodic speculation check.
+    run_cfg.speculative_execution = true;
+    run_cfg.speculative_reducers = true;
   }
   auto run = std::make_unique<mapred::JobRun>(
       env_, std::move(spec), std::move(dir), run_cfg, ordinal,
@@ -689,28 +644,20 @@ void Middleware::on_run_done(mapred::JobRun& run) {
       // an authoritative first writer.
       maybe_publish(res.logical_id);
     }
-    const std::uint32_t repl =
-        env_.dfs.file_exists(files_[res.logical_id])
-            ? env_.dfs.replication(files_[res.logical_id])
-            : 1;
-    if (repl > 1) {
-      time_since_repl_point_ = 0.0;
-    } else {
-      time_since_repl_point_ += res.duration();
-    }
+    // Young's-interval timers: chain time since the last replicated
+    // output, and (three-way hybrid) since the last output that
+    // survives a compute failure — replicated or on the disk tier.
+    const dfs::FileId out = files_[res.logical_id];
+    const bool exists = env_.dfs.file_exists(out);
+    const std::uint32_t repl = exists ? env_.dfs.replication(out) : 1;
+    time_since_repl_point_ =
+        repl > 1 ? 0.0 : time_since_repl_point_ + res.duration();
     if (strategy_.memory_tier) {
-      // Disk-durability timer for the three-way decision: replicated
-      // and disk-tier outputs both survive a compute failure.
       const bool disk_durable =
-          repl > 1 ||
-          (env_.dfs.file_exists(files_[res.logical_id]) &&
-           env_.dfs.file_tier(files_[res.logical_id]) ==
-               cluster::StorageTier::kDisk);
-      if (disk_durable) {
-        time_since_disk_point_ = 0.0;
-      } else {
-        time_since_disk_point_ += res.duration();
-      }
+          repl > 1 || (exists && env_.dfs.file_tier(out) ==
+                                     cluster::StorageTier::kDisk);
+      time_since_disk_point_ =
+          disk_durable ? 0.0 : time_since_disk_point_ + res.duration();
     }
     sample_storage();
     enforce_storage_budget();
@@ -898,7 +845,10 @@ void Middleware::replan() {
   // their bytes, in which case the position reverts to this chain's own
   // file and recomputes below.
   revalidate_borrows();
+  resume_from_ledger("replanned");
+}
 
+void Middleware::resume_from_ledger(const char* what) {
   std::vector<PlannerJobState> states(chain_.jobs.size());
   for (std::uint32_t l = 0; l < chain_.jobs.size(); ++l) {
     states[l].completed_once = completed_once_[l];
@@ -910,15 +860,7 @@ void Middleware::replan() {
       }
     }
   }
-  std::vector<PlannedSubmission> plan;
-  if (cache_enabled()) {
-    auto cached = plan_chain_with_cache(states, [this](std::uint32_t j) {
-      return probe_and_borrow(j);
-    });
-    plan = std::move(cached.submissions);
-  } else {
-    plan = plan_chain(states);
-  }
+  std::vector<PlannedSubmission> plan = plan_from(states);
 
   // Feasibility: every submission's inputs must exist (they may be
   // damaged only if an earlier submission regenerates them). Reclaimed
@@ -943,11 +885,11 @@ void Middleware::replan() {
     }
   }
 
-  queue_.clear();
-  for (const auto& s : plan) queue_.push_back(s);
+  queue_.assign(std::make_move_iterator(plan.begin()),
+                std::make_move_iterator(plan.end()));
   update_pinned_jobs();
-  RCMP_INFO() << "t=" << env_.sim.now() << " middleware: replanned, "
-              << queue_.size() << " submission(s) queued";
+  RCMP_INFO() << "t=" << env_.sim.now() << " middleware: " << tag_ << what
+              << ", " << queue_.size() << " submission(s) queued";
   submit_next();
 }
 
@@ -975,10 +917,7 @@ void Middleware::wipe_and_restart() {
         // data is still correct — only this chain is starting over) and
         // restart into a fresh file.
         tenant_.result_cache->detach(fps_[l]);
-        files_[l] = env_.dfs.create_file("out/" + chain_.jobs[l].name,
-                                         chain_.jobs[l].num_reducers,
-                                         file_replication(l));
-        own_files_[l] = files_[l];
+        create_own_file(l);
       } else {
         // No borrower: the restart reuses (and clears) the file, so the
         // cached entry dies with it.
@@ -994,11 +933,7 @@ void Middleware::wipe_and_restart() {
         env_.payloads.clear(files_[l], p);
       }
     } else {
-      // Recreate a reclaimed file so the restart can write it again.
-      files_[l] = env_.dfs.create_file("out/" + chain_.jobs[l].name,
-                                       chain_.jobs[l].num_reducers,
-                                       file_replication(l));
-      own_files_[l] = files_[l];
+      create_own_file(l);  // reclaimed: the restart writes it again
     }
     env_.map_outputs.drop_job(l);
     completed_once_[l] = false;
@@ -1066,7 +1001,8 @@ void Middleware::reclaim_storage(std::uint32_t replication_point) {
               << replication_point;
 }
 
-bool Middleware::should_replicate_now() const {
+bool Middleware::young_point_due(double cost_ratio,
+                                 double since_point) const {
   if (job_time_count_ == 0) return false;  // no cost estimate yet
   const double avg_job = job_time_sum_ / job_time_count_;
   if (!(avg_job > 0.0)) return false;  // degenerate cost estimate
@@ -1075,32 +1011,16 @@ bool Middleware::should_replicate_now() const {
   // math below out of 0 * inf = NaN territory, where the comparison
   // would silently answer "no" for the wrong reason.
   if (!(strategy_.node_failure_rate_per_day > 0.0)) return false;
-  // Replication cost C: the extra time replicating one job's output
-  // adds. Cluster MTBF from the per-node daily failure rate.
-  const double c = avg_job * strategy_.hybrid_replication_overhead;
+  // Young's optimal checkpoint interval T* = sqrt(2 * C * MTBF), with
+  // checkpoint cost C = avg_job * cost_ratio and the cluster MTBF from
+  // the per-node daily failure rate.
+  const double c = avg_job * cost_ratio;
   const double mtbf_seconds =
       86400.0 / (strategy_.node_failure_rate_per_day *
                  std::max(1u, env_.cluster.alive_count()));
   const double interval = std::sqrt(2.0 * c * mtbf_seconds);
   if (!std::isfinite(interval)) return false;  // overhead 0 or overflow
-  return time_since_repl_point_ + avg_job >= interval;
-}
-
-bool Middleware::should_persist_disk_now() const {
-  if (job_time_count_ == 0) return false;  // no cost estimate yet
-  const double avg_job = job_time_sum_ / job_time_count_;
-  if (!(avg_job > 0.0)) return false;
-  if (!(strategy_.node_failure_rate_per_day > 0.0)) return false;
-  // Same Young's shape as should_replicate_now, with the (much cheaper)
-  // disk-checkpoint cost — so disk points land more often than
-  // replication points, mirroring the tier cost ordering.
-  const double c = avg_job * strategy_.memory_disk_overhead;
-  const double mtbf_seconds =
-      86400.0 / (strategy_.node_failure_rate_per_day *
-                 std::max(1u, env_.cluster.alive_count()));
-  const double interval = std::sqrt(2.0 * c * mtbf_seconds);
-  if (!std::isfinite(interval)) return false;
-  return time_since_disk_point_ + avg_job >= interval;
+  return since_point + avg_job >= interval;
 }
 
 void Middleware::update_pinned_jobs() {
@@ -1181,10 +1101,7 @@ void Middleware::sample_storage() {
   // Multi-tenant: the gauge is shared, so it must reflect the shared
   // ground truth (DFS + every chain's store) or the auditor's
   // cross-check would flag a stale sample.
-  const Bytes used =
-      tenant_.scheduler != nullptr
-          ? tenant_.scheduler->storage_total()
-          : env_.dfs.total_used() + env_.map_outputs.total_used();
+  const Bytes used = storage_used();
   result_.peak_storage = std::max(result_.peak_storage, used);
   if (env_.obs != nullptr) {
     env_.obs->metrics.add("storage.samples");
@@ -1250,45 +1167,24 @@ void Middleware::publish_metrics() {
 
 void Middleware::fail_chain(ChainResult::FailReason reason,
                             std::string detail) {
-  chain_done_ = true;
-  result_.completed = false;
   result_.fail_reason = reason;
   result_.fail_detail = std::move(detail);
-  result_.total_time = env_.sim.now();
-  result_.jobs_started = next_ordinal_ - 1;
-  result_.runs.clear();
-  for (const auto& run : runs_) result_.runs.push_back(run->result());
-  if (cache_enabled()) {
-    for (std::uint32_t l = 0; l < chain_.jobs.size(); ++l) {
-      if (borrowed_[l]) tenant_.result_cache->release(fps_[l]);
-    }
-    tenant_.result_cache->owner_finished(tenant_.chain_id);
-  }
-  publish_metrics();
-  if (env_.obs != nullptr) {
-    sample_storage();
-    env_.obs->audit(obs::AuditPoint::kFinal);
-  }
-  if (tenant_.scheduler != nullptr) {
-    tenant_.scheduler->chain_done(tenant_.chain_id);
-  }
-  if (on_complete_) on_complete_(result_);
+  close_chain(false);
 }
 
-void Middleware::finish_chain() {
+void Middleware::close_chain(bool completed) {
   chain_done_ = true;
-  result_.completed = true;
+  result_.completed = completed;
   result_.total_time = env_.sim.now();
   result_.jobs_started = next_ordinal_ - 1;
+  // runs_ is appended as ordinals are handed out: start (ordinal) order.
   result_.runs.clear();
   for (const auto& run : runs_) result_.runs.push_back(run->result());
-  std::sort(result_.runs.begin(), result_.runs.end(),
-            [](const mapred::JobResult& a, const mapred::JobResult& b) {
-              return a.ordinal < b.ordinal;
-            });
-  RCMP_INFO() << "t=" << env_.sim.now() << " middleware: chain complete ("
-              << result_.jobs_started << " jobs started, "
-              << result_.failures_observed << " failures)";
+  if (completed) {
+    RCMP_INFO() << "t=" << env_.sim.now() << " middleware: chain complete ("
+                << result_.jobs_started << " jobs started, "
+                << result_.failures_observed << " failures)";
+  }
   if (cache_enabled()) {
     // Leases drop (the chain consumed what it borrowed) and this
     // chain's own entries become eviction-eligible; its final output
@@ -1347,17 +1243,9 @@ bool Middleware::crash_master() {
   time_since_disk_point_ = 0.0;
   job_time_sum_ = 0.0;
   job_time_count_ = 0;
-  // A restarted master reloads its configuration: policy mutations to
-  // the strategy (mode flips, learned overrides) do not survive.
-  strategy_ = strategy_boot_;
-  policy_split_override_ = 0;
-  policy_replicate_next_ = false;
-  policy_replication_ = 2;
-  policy_tier_ = -1;
-  policy_speculate_ = -1;
-  policy_max_attempts_ = kPolicyKeep;
-  policy_backoff_base_ = -1.0;
-  policy_cache_admit_ = -1;
+  // A restarted master reloads its configuration: pending policy
+  // overrides and the policy's learned state do not survive.
+  pending_ = {};
   if (policy_ != nullptr) policy_ = strategy_.policy->clone();
   // Survivors: the journal itself, the physical ledgers (DFS, map
   // outputs, payloads), next_ordinal_ (fault-schedule ordinals stay
@@ -1488,11 +1376,7 @@ void Middleware::recover_from_journal() {
         env_.payloads.clear(own_files_[l], p);
       }
     } else if (l >= reclaimed_below_) {
-      // Recreate a reclaimed file so the resumed plan can write it.
-      files_[l] = env_.dfs.create_file("out/" + chain_.jobs[l].name,
-                                       chain_.jobs[l].num_reducers,
-                                       file_replication(l));
-      own_files_[l] = files_[l];
+      create_own_file(l);  // reclaimed: the resumed plan writes it again
     }
     env_.map_outputs.drop_job(l);
   }
@@ -1553,54 +1437,9 @@ void Middleware::recover_from_journal() {
   // Resume from the deepest verified prefix through the ordinary
   // planner. This is deliberately NOT a replan: no replan is spent and
   // no kReplanCut is journaled — the crash was the master's fault, not
-  // data loss (any real damage is picked up by the scan below exactly
+  // data loss (any real damage is picked up by the ledger scan exactly
   // as a replan would).
-  std::vector<PlannerJobState> states(n_jobs);
-  for (std::uint32_t l = 0; l < n_jobs; ++l) {
-    states[l].completed_once = completed_once_[l];
-    if (!completed_once_[l]) continue;
-    if (!env_.dfs.file_exists(files_[l])) continue;  // reclaimed
-    for (std::uint32_t p = 0; p < env_.dfs.num_partitions(files_[l]);
-         ++p) {
-      if (!env_.dfs.partition_available(files_[l], p)) {
-        states[l].damaged_partitions.push_back(p);
-      }
-    }
-  }
-  std::vector<PlannedSubmission> plan;
-  if (cache_enabled()) {
-    auto cached = plan_chain_with_cache(states, [this](std::uint32_t j) {
-      return probe_and_borrow(j);
-    });
-    plan = std::move(cached.submissions);
-  } else {
-    plan = plan_chain(states);
-  }
-  for (const auto& s : plan) {
-    for (std::uint32_t d : deps_of(s.logical_id)) {
-      if (d == kSourceInput) {
-        if (!env_.dfs.file_available(source_input_)) {
-          RCMP_WARN() << "middleware: source input lost — cannot recover";
-          wipe_and_restart();
-          return;
-        }
-        continue;
-      }
-      if (!env_.dfs.file_exists(files_[d]) || d < reclaimed_below_) {
-        RCMP_WARN() << "middleware: input of job " << s.logical_id
-                    << " was reclaimed — full restart";
-        wipe_and_restart();
-        return;
-      }
-    }
-  }
-  queue_.clear();
-  for (const auto& s : plan) queue_.push_back(s);
-  update_pinned_jobs();
-  RCMP_INFO() << "t=" << env_.sim.now() << " middleware: " << tag_
-              << "resuming after master crash, " << queue_.size()
-              << " submission(s) queued";
-  submit_next();
+  resume_from_ledger("resuming after master crash");
 }
 
 }  // namespace rcmp::core

@@ -136,7 +136,7 @@ struct ChainResult {
   /// Policy engine (StrategyConfig::policy): hook decisions that
   /// overrode the static strategy, pre-replications the policy
   /// triggered, and speculation launches its cost model vetoed. All
-  /// zero under the default static shim.
+  /// zero without a policy and under StaticPolicy.
   std::uint32_t policy_decisions = 0;
   std::uint32_t policy_pre_replications = 0;
   std::uint32_t policy_speculation_gated = 0;
@@ -217,21 +217,43 @@ class Middleware {
   /// the floor was breached and the chain was failed.
   bool enforce_capacity_floor();
   void submit_next();
+  /// The one persistence decision for a submission's output: a pending
+  /// policy replicate-now, else (RCMP) a Young's-interval replication
+  /// point, else (memory tier on) a disk point or the memory tier.
+  void decide_persistence(const PlannedSubmission& sub);
+  /// Make a job's output a replication point with `replicas` copies:
+  /// counted, journaled and traced (kind 1 when a policy asked for it,
+  /// after the auditor's budget check; kind 0 for the dynamic hybrid).
+  void mark_replication_point(std::uint32_t logical, std::uint32_t replicas,
+                              bool by_policy);
   void on_run_done(mapred::JobRun& run);
   void replan();
+  /// Scan the ledger for damage, plan from it, and queue and submit the
+  /// plan (a full restart when an input cannot be regenerated). Shared
+  /// by replan() and recover_from_journal(); `what` labels the log line.
+  void resume_from_ledger(const char* what);
+  /// Plan from job states, probing the result cache when it is enabled.
+  std::vector<PlannedSubmission> plan_from(
+      const std::vector<PlannerJobState>& states);
   void wipe_and_restart();
   void reclaim_storage(std::uint32_t replication_point);
   void sample_storage();
   /// Mirror ChainResult into the metrics registry (chain completion).
   void publish_metrics();
   void enforce_storage_budget();
-  /// Dynamic hybrid: is it time for the next replication point
-  /// (Young's optimal checkpoint interval)?
-  bool should_replicate_now() const;
-  /// Three-way hybrid (memory tier on): is it time for the next disk
-  /// persistence point? Same Young's interval shape as replication,
-  /// with the (cheaper) disk-checkpoint cost.
-  bool should_persist_disk_now() const;
+  /// Dynamic hybrid: is the next durable point due, `since_point`
+  /// chain seconds after the last one, when a checkpoint costs
+  /// `cost_ratio` of a job's time (Young's optimal interval)? False
+  /// without a positive cost estimate and failure rate.
+  bool young_point_due(double cost_ratio, double since_point) const;
+  /// RCMP with the memory tier on and a cluster that has one.
+  bool memory_tier_on() const {
+    return strategy_.is_rcmp() && strategy_.memory_tier &&
+           env_.cluster.ram_enabled();
+  }
+  /// Bytes persisted: the shared total under a scheduler, else this
+  /// chain's DFS plus map-output store.
+  Bytes storage_used() const;
   /// Pin the recompute frontier (queued recompute submissions plus the
   /// running one) against storage eviction: evicting those persisted
   /// map outputs would delete the copies an in-flight replan counts on.
@@ -246,10 +268,11 @@ class Middleware {
   /// it when it actually overrides something.
   void apply_policy_decision(const PolicyDecision& d, PolicyHook hook,
                              std::uint32_t job);
-  /// Consume a pending replicate-now for this submission (budget-checked
-  /// by the auditor through the observability hook).
-  void apply_policy_replication(const PlannedSubmission& sub);
+  /// Replicas a job's output file is created with: kReplication's
+  /// factor, or the static hybrid's every-k point, else 1.
   std::uint32_t file_replication(std::uint32_t logical) const;
+  /// (Re)create this chain's own output file for a job.
+  void create_own_file(std::uint32_t logical);
   /// Result cache (all no-ops when cache_enabled() is false, keeping
   /// cache-off runs bit-identical to pre-cache builds).
   bool cache_enabled() const;
@@ -279,7 +302,9 @@ class Middleware {
   /// DFS files a job reads (source input and/or upstream outputs).
   std::vector<dfs::FileId> input_files(std::uint32_t logical) const;
   bool input_available(std::uint32_t logical) const;
-  void finish_chain();
+  /// Stop the chain: final result, cache leases, metrics, final audit,
+  /// scheduler and completion callback.
+  void close_chain(bool completed);
   /// Unrecoverable situation: record the structured reason and stop.
   void fail_chain(ChainResult::FailReason reason, std::string detail);
   /// Append one decision record (no-op without a journal; a sealed
@@ -294,31 +319,20 @@ class Middleware {
   mapred::Env env_;
   ChainSpec chain_;
   dfs::FileId source_input_;
-  StrategyConfig strategy_;
-  /// Pristine copy of the strategy as configured: a recovered master
-  /// reloads its config, so crash_master() resets strategy_ (which
-  /// policy decisions may have mutated) from this.
-  StrategyConfig strategy_boot_;
+  const StrategyConfig strategy_;
   mapred::EngineConfig engine_cfg_;
   Rng rng_;
   TenantContext tenant_;
   /// Metric-name prefix: "" single-tenant, "t<chain>." under a scheduler.
   std::string tag_;
 
-  /// Per-chain clone of StrategyConfig::policy; null when no policy (or
-  /// the inert static shim) is attached — every policy call site checks
-  /// this first, so the static path stays bit-identical to pre-policy
-  /// builds.
+  /// Per-chain clone of StrategyConfig::policy; null when none is
+  /// attached.
   std::unique_ptr<IPolicy> policy_;
-  // Pending policy overrides (kPolicyKeep / -1 / 0 = keep static).
-  std::uint32_t policy_split_override_ = 0;
-  bool policy_replicate_next_ = false;
-  std::uint32_t policy_replication_ = 2;
-  std::int8_t policy_tier_ = -1;
-  std::int8_t policy_speculate_ = -1;
-  std::uint32_t policy_max_attempts_ = kPolicyKeep;
-  double policy_backoff_base_ = -1.0;
-  std::int8_t policy_cache_admit_ = -1;
+  /// The policy overrides in force, folded from every hook's decision:
+  /// a replicate-now waits here for the next eligible submission, the
+  /// others hold until a later decision changes them.
+  PolicyDecision pending_;
   // What the retry/speculation seams report against (the running job).
   std::uint32_t current_logical_ = 0;
   bool current_recompute_ = false;

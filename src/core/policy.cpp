@@ -169,7 +169,7 @@ PolicyDecision BinocularSpeculationPolicy::on_chain_admission(
     const PolicyContext& ctx) {
   (void)ctx;
   PolicyDecision d;
-  d.speculate_reducers = 1;
+  d.speculate_reducers = true;
   return d;
 }
 

@@ -1,21 +1,23 @@
 // Pluggable resilience policies: the runtime-adaptive layer above the
 // static StrategyConfig.
 //
-// The paper fixes its resilience choices (RCMP vs. replication, split
-// factor, persist points) at chain-submission time. The policy engine
-// keeps that static configuration as the baseline and lets an IPolicy
-// override individual knobs while the chain runs, from decision hooks
-// the middleware invokes at chain admission, every job boundary, every
-// failure/replan, and every task-attempt charge. Each hook sees a
-// PolicyContext — chain progress, cluster capacity, live detector
-// statistics, and the storage-budget state — and returns a
-// PolicyDecision whose fields default to "keep the static value", so a
-// policy only pays for what it overrides.
+// The paper fixes its resilience choices (RCMP vs. replication, persist
+// points) at chain-submission time. The policy engine keeps that static
+// configuration as the baseline and lets an IPolicy override a few
+// knobs while the chain runs, from decision hooks the middleware
+// invokes at chain admission, every job boundary, every failure/replan,
+// and every task-attempt charge. Each hook sees a PolicyContext — chain
+// progress, cluster capacity, live detector statistics, and the
+// storage-budget state — and returns a PolicyDecision whose fields
+// default to "keep the static value", so a policy only pays for what it
+// overrides. A replicate-now request feeds the middleware's single
+// persistence decision (Middleware::submit_next), ahead of the static
+// every-k and Young's-interval hybrids.
 //
 // Built-ins:
-//  - StaticPolicy: inert shim over the enum-driven StrategyConfig. The
-//    middleware skips every hook for it, so runs are bit-identical to
-//    passing no policy at all (pinned by tests).
+//  - StaticPolicy: every hook keeps the static value. It runs through
+//    the same hooks as any policy, and its runs are bit-identical to
+//    passing no policy at all (tests prove the equivalence).
 //  - OraclePolicy: sees the chaos schedule's fault ordinals ahead of
 //    time and pre-replicates the output written just before each one —
 //    the upper bound adaptive policies chase on a backtest scoreboard.
@@ -111,37 +113,24 @@ struct PolicyContext {
 /// value"; the middleware treats an all-default decision as a no-op
 /// (no counter, no trace event).
 struct PolicyDecision {
-  /// Switch the resilience mode (a core::Strategy value); -1 keeps it.
-  std::int8_t mode = -1;
-  /// Reducer split factor for subsequent recomputation runs; kPolicyKeep
-  /// keeps the strategy's split_factor / auto rule.
-  std::uint32_t split_factor = kPolicyKeep;
-  /// Make the next submission's output a replication point now.
+  /// Make the next initial submission's not-yet-replicated output a
+  /// replication point (held through the recompute runs of a replan).
   bool replicate_now = false;
   /// Replicas at that point; kPolicyKeep uses the built-in default (2).
   std::uint32_t replication = kPolicyKeep;
-  /// Storage tier for a replicate-now point (cluster::StorageTier
-  /// values): -1 keeps the default durable disk replicas; kMemory (1)
-  /// turns the point into a memory-tier persistence point instead — no
-  /// extra replicas, written and reread at RAM speed, but lost with the
-  /// writer's process. Ignored when the cluster has no RAM tier.
-  std::int8_t tier = -1;
-  /// Reducer speculation aggressiveness: -1 keep, 0 force off, 1 on.
-  std::int8_t speculate_reducers = -1;
+  /// Turn reducer speculation on for subsequent runs; false keeps
+  /// EngineConfig::speculative_reducers.
+  bool speculate_reducers = false;
   /// Per-task attempt budget for subsequent charges (0 = unlimited);
   /// kPolicyKeep keeps EngineConfig::max_task_attempts.
   std::uint32_t max_task_attempts = kPolicyKeep;
-  /// Base retry backoff in seconds; negative keeps the engine's.
-  double retry_backoff_base = -1.0;
   /// Result-cache admission of the just-completed output: -1 keeps the
   /// cache's admit_by_default, 0 vetoes publication, 1 forces it.
   std::int8_t cache_admit = -1;
 
   bool overrides() const {
-    return mode >= 0 || split_factor != kPolicyKeep || replicate_now ||
-           tier >= 0 || speculate_reducers >= 0 ||
-           max_task_attempts != kPolicyKeep || retry_backoff_base >= 0.0 ||
-           cache_admit >= 0;
+    return replicate_now || speculate_reducers ||
+           max_task_attempts != kPolicyKeep || cache_admit >= 0;
   }
 };
 
@@ -150,10 +139,6 @@ class IPolicy {
   virtual ~IPolicy() = default;
 
   virtual const char* name() const = 0;
-
-  /// The static shim answers true: the middleware then skips every hook
-  /// and runs the exact pre-policy code path (bit-identical traces).
-  virtual bool inert() const { return false; }
 
   /// Fresh instance with the same configuration and no accumulated
   /// state. The middleware clones the StrategyConfig prototype so
@@ -177,11 +162,11 @@ class IPolicy {
   }
 };
 
-/// Bit-identical shim over the enum-driven StrategyConfig (the default).
+/// The enum-driven StrategyConfig unchanged: every hook keeps the static
+/// value (the default policy name).
 class StaticPolicy final : public IPolicy {
  public:
   const char* name() const override { return "static"; }
-  bool inert() const override { return true; }
   std::unique_ptr<IPolicy> clone() const override {
     return std::make_unique<StaticPolicy>(*this);
   }

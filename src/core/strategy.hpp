@@ -121,10 +121,14 @@ struct StrategyConfig {
   /// cannot crash recoverably in the first place.
   std::uint32_t max_master_recoveries = 0;
 
-  /// Adaptive resilience policy prototype (core/policy.hpp). Null — and
-  /// the inert StaticPolicy shim — keep the exact enum-driven behavior
-  /// above, bit-identical. Each Middleware clones its own instance, so
-  /// one StrategyConfig can safely drive many chains.
+  /// Adaptive resilience policy prototype (core/policy.hpp). Its hooks
+  /// may ask for a replication point (ahead of hybrid_every and the
+  /// Young's-interval hybrid in the middleware's one persistence
+  /// decision), reducer speculation, a task retry budget and result-
+  /// cache admission; the rest of this config is fixed for the run. Null
+  /// and StaticPolicy keep the enum-driven behavior above, bit-identical.
+  /// Each Middleware clones its own instance, so one StrategyConfig can
+  /// safely drive many chains.
   std::shared_ptr<IPolicy> policy;
 
   /// Reuse persisted map outputs on recomputation (ablation toggle).

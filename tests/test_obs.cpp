@@ -328,9 +328,9 @@ TEST(MapOutputStoreRegression, MissingChecksumIsNeverIntact) {
   EXPECT_EQ(store.bucket_state(key, 9), mapred::BucketState::kMissingSum);
 }
 
-// should_replicate_now() with a zero failure rate and zero replication
-// overhead used to compute sqrt(0 * inf) = NaN; the hardened version
-// treats an infinite MTBF as "never replicate".
+// The dynamic hybrid's Young's-interval check with a zero failure rate
+// and zero replication overhead used to compute sqrt(0 * inf) = NaN;
+// the hardened version treats an infinite MTBF as "never replicate".
 TEST(DynamicHybridRegression, ZeroFailureRateNeverReplicates) {
   auto run_with = [](double rate, double overhead) {
     Scenario s(workloads::tiny_config(5, 6));

@@ -2,9 +2,10 @@
 // and the chaos-trace backtest harness (analysis/backtest.hpp).
 //
 // The load-bearing guarantee is the first block: `--policy static` (the
-// default) is not "close to" the pre-policy code path, it IS the
-// pre-policy code path — same doubles, byte-identical traces — in
-// single-tenant, chaos, and multi-tenant runs. Everything adaptive is
+// default) runs every policy hook and engine seam, yet it is not "close
+// to" a run with no policy, it is identical — same doubles,
+// byte-identical traces — in single-tenant, chaos, and multi-tenant
+// runs. Everything adaptive is
 // judged by the backtest scoreboard, which must itself be
 // seed-deterministic to be worth checking in.
 #include <gtest/gtest.h>
