@@ -120,6 +120,29 @@ TEST(PersistencePins, ThreeWayYoungWithComputeOnlyFault) {
                     0x15c29955123ae998ULL});
 }
 
+// (c') As (c), with replication priced at 1.2 of a job's time: the
+// replication interval is then more than twice the disk interval, so
+// disk points follow a disk point before the next replication point.
+// Decisions that read the replication timer for the disk point move
+// the makespan.
+TEST(PersistencePins, ThreeWayYoungDiskTimerRunsApart) {
+  auto cfg = traced(chaos_config(/*nodes=*/8, /*chain=*/7));
+  cfg.cluster.ram_bytes = 1ULL << 30;
+  Scenario s(cfg);
+  auto strategy = strat(core::Strategy::kRcmpSplit);
+  strategy.memory_tier = true;
+  strategy.hybrid_dynamic = true;
+  strategy.node_failure_rate_per_day = 20.0;
+  strategy.hybrid_replication_overhead = 1.2;
+  FaultSchedule schedule;
+  schedule.events.push_back(FaultEvent{FaultMode::kCompute, 5, 10.0});
+  const auto r = s.run_chaos(strategy, schedule);
+  ASSERT_TRUE(r.completed);
+  EXPECT_GT(r.replication_points, 0u);
+  expect_pin(r, s, {0x1.500e0853cf31p+7, 0xeb603267f81157daULL,
+                    0xf00a1cfc34c14c7fULL});
+}
+
 // (d) Oracle pre-replication across a coordinator crash: the crash
 // wipes the pending policy overrides and re-clones the policy, and the
 // journal replay resumes the chain.
@@ -146,6 +169,27 @@ TEST(PersistencePins, OraclePolicyAcrossMasterCrash) {
   EXPECT_EQ(s.obs().metrics.counter("audit.violations"), 0u);
   expect_pin(r, s, {0x1.f8efdb3e0e196p+6, 0x3f5aa2925058b243ULL,
                     0xa34d671806d28b17ULL});
+}
+
+// (d') Binocular turns reducer speculation on at chain admission only,
+// and a coordinator crash clears that override: runs after the
+// recovery schedule no speculation checks. The metrics dump sees it
+// (sim.cancelled counts the checks cancelled at each run's end) while
+// the trace does not.
+TEST(PersistencePins, BinocularOverrideClearedByMasterCrash) {
+  auto cfg = traced(chaos_config(/*nodes=*/8, /*chain=*/6));
+  cfg.journal = true;
+  Scenario s(cfg);
+  FaultSchedule schedule;
+  schedule.events.push_back(FaultEvent{FaultMode::kMasterCrash, 3, 10.0});
+  auto strategy = strat(core::Strategy::kRcmpSplit);
+  strategy.policy = core::make_policy("binocular");
+  const auto r = s.run_chaos(strategy, schedule);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(r.master_crashes, 1u);
+  EXPECT_EQ(r.policy_decisions, 1u);
+  expect_pin(r, s, {0x1.a911588033ea5p+6, 0xac901a7cccab3c7ULL,
+                    0x6e218dbcbd629cf1ULL});
 }
 
 }  // namespace
