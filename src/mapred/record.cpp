@@ -2,9 +2,14 @@
 
 namespace rcmp::mapred {
 
+void record_checks_lanes(const std::uint64_t* values, std::size_t n,
+                         RecordChecks* out) {
+  for (std::size_t j = 0; j < n; ++j) out[j] = record_checks(Record{0, values[j]});
+}
+
 Checksum checksum_of(std::span<const Record> records) {
   Checksum c;
-  for (const Record& r : records) c.add(r);
+  c.add_all(records);
   return c;
 }
 

@@ -14,6 +14,8 @@
 // to record count rather than data volume.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -28,7 +30,8 @@ struct Record {
   std::uint64_t key = 0;
   std::uint64_t value = 0;
 
-  bool operator==(const Record&) const = default;
+  /// Key, then value: the order a reducer's sort-merge consumes.
+  auto operator<=>(const Record&) const = default;
 };
 
 /// Expand a record's value into its synthetic payload bytes: the
@@ -49,25 +52,58 @@ struct RecordChecks {
   std::uint64_t sum = 0;  // sum of all 64 payload bytes
 };
 
-/// Both checks from one expansion of the value into its 8 payload
-/// words. The words go straight into MD5's one-block entry. The byte
-/// sum adds each word's bytes as four 16-bit lanes (even bytes, odd
-/// bytes): a lane gains at most 2 * 255 per word, 4080 over 8 words,
-/// so no lane carries into the next and the sum is exact.
-inline RecordChecks record_checks(const Record& r) {
+/// Expands `value` into its 8 payload words, hands MD5's 16
+/// little-endian message words to `word(i, w)`, and returns the
+/// payload's byte sum. The sum adds each word's bytes as four 16-bit
+/// lanes (even bytes, odd bytes): a lane gains at most 2 * 255 per
+/// word, 4080 over 8 words, so no lane carries into the next and the
+/// sum is exact.
+template <class WordSink>
+inline std::uint64_t expand_words(std::uint64_t value, WordSink&& word) {
   constexpr std::uint64_t kEvenBytes = 0x00FF00FF00FF00FFULL;
-  std::uint32_t m[16];
   std::uint64_t lanes = 0;
-  std::uint64_t s = r.value;
+  std::uint64_t s = value;
   for (int i = 0; i < 8; ++i) {
     const std::uint64_t w = splitmix64(s);
-    m[2 * i] = static_cast<std::uint32_t>(w);
-    m[2 * i + 1] = static_cast<std::uint32_t>(w >> 32);
+    word(2 * i, static_cast<std::uint32_t>(w));
+    word(2 * i + 1, static_cast<std::uint32_t>(w >> 32));
     lanes += (w & kEvenBytes) + ((w >> 8) & kEvenBytes);
   }
   // Multiplying by 1 in every lane adds all four lanes into the top
   // one; the total (at most 64 * 255) fits in 16 bits.
-  return {Md5::hash64_words(m), (lanes * 0x0001000100010001ULL) >> 48};
+  return (lanes * 0x0001000100010001ULL) >> 48;
+}
+
+/// Both checks of one record from one expansion of its value. The words
+/// go straight into MD5's one-block entry.
+inline RecordChecks record_checks(const Record& r) {
+  std::uint32_t m[16];
+  const std::uint64_t sum =
+      expand_words(r.value, [&](int i, std::uint32_t w) { m[i] = w; });
+  return {Md5::hash64_words(m), sum};
+}
+
+/// Records per call of the multi-record check kernel.
+inline constexpr std::size_t kCheckLanes = 8;
+
+/// record_checks of `n` <= kCheckLanes values in one kernel call.
+void record_checks_lanes(const std::uint64_t* values, std::size_t n,
+                         RecordChecks* out);
+
+/// Calls `f(i, record_checks of a record with value value_at(i))` for
+/// i = 0..n-1, in order. The checks depend on the value only.
+template <class ValueAt, class F>
+inline void for_each_record_checks(std::size_t n, ValueAt&& value_at,
+                                   F&& f) {
+  std::uint64_t values[kCheckLanes];
+  RecordChecks checks[kCheckLanes];
+  for (std::size_t i = 0; i < n;) {
+    const std::size_t k = std::min(n - i, kCheckLanes);
+    for (std::size_t j = 0; j < k; ++j) values[j] = value_at(i + j);
+    record_checks_lanes(values, k, checks);
+    for (std::size_t j = 0; j < k; ++j) f(i + j, checks[j]);
+    i += k;
+  }
 }
 
 /// Order-independent aggregate over a record multiset. Two datasets have
@@ -81,12 +117,12 @@ struct Checksum {
   std::uint64_t key_acc = 0;   // sum of mix64(key) — detects key changes
   std::uint64_t count = 0;
 
-  void add(const Record& r) {
-    const RecordChecks c = record_checks(r);
-    md5_acc += c.md5;
-    sum_acc += c.sum;
-    key_acc += mix64(r.key);
-    ++count;
+  void add(const Record& r) { add(r, record_checks(r)); }
+  /// add() of every record, with the checks batched.
+  void add_all(std::span<const Record> records) {
+    for_each_record_checks(
+        records.size(), [&](std::size_t i) { return records[i].value; },
+        [&](std::size_t i, const RecordChecks& c) { add(records[i], c); });
   }
   void merge(const Checksum& o) {
     md5_acc += o.md5_acc;
@@ -95,6 +131,14 @@ struct Checksum {
     count += o.count;
   }
   bool operator==(const Checksum&) const = default;
+
+ private:
+  void add(const Record& r, const RecordChecks& c) {
+    md5_acc += c.md5;
+    sum_acc += c.sum;
+    key_acc += mix64(r.key);
+    ++count;
+  }
 };
 
 Checksum checksum_of(std::span<const Record> records);
@@ -152,6 +196,13 @@ class MapUdf {
   virtual ~MapUdf() = default;
   virtual void map(const Record& in, std::uint64_t job_salt,
                    Emitter& out) const = 0;
+  /// Maps `in` in order; the output must equal one map() call per
+  /// record. Every engine and auditor path maps through here, so a UDF
+  /// can share work across records by overriding it.
+  virtual void map_batch(std::span<const Record> in, std::uint64_t job_salt,
+                         Emitter& out) const {
+    for (const Record& r : in) map(r, job_salt, out);
+  }
 };
 
 /// Reduce UDF: one key with all its values (the engine guarantees all
@@ -163,6 +214,23 @@ class ReduceUdf {
   virtual void reduce(std::uint64_t key,
                       std::span<const std::uint64_t> values,
                       std::uint64_t job_salt, Emitter& out) const = 0;
+  /// Sort-merge over `sorted` (ascending Record order, holding whole
+  /// keys): one reduce() call per key, in key order, with the key's
+  /// values ascending. Every engine and auditor path reduces through
+  /// here, so a UDF can share work across keys by overriding it; the
+  /// output must equal this body's.
+  virtual void reduce_sorted(std::span<const Record> sorted,
+                             std::uint64_t job_salt, Emitter& out) const {
+    std::vector<std::uint64_t> values;
+    for (std::size_t i = 0; i < sorted.size();) {
+      const std::uint64_t key = sorted[i].key;
+      values.clear();
+      for (; i < sorted.size() && sorted[i].key == key; ++i) {
+        values.push_back(sorted[i].value);
+      }
+      reduce(key, values, job_salt, out);
+    }
+  }
 };
 
 }  // namespace rcmp::mapred

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "mapred/map_output_store.hpp"
@@ -46,6 +49,50 @@ TEST(Record, ChecksMatchByteLevelReference) {
     ASSERT_EQ(c.md5, Md5::hash64(payload, sizeof(payload)))
         << "value=" << r.value;
     ASSERT_EQ(c.sum, sum) << "value=" << r.value;
+  }
+}
+
+// The multi-record kernel agrees with the one-record kernel on every
+// value, through full batches of kCheckLanes records.
+TEST(Record, BatchChecksMatchOneRecordKernel) {
+  Rng rng(17);
+  std::vector<std::uint64_t> values(100000);
+  for (std::uint64_t& v : values) v = rng();
+  std::size_t calls = 0;
+  for_each_record_checks(
+      values.size(), [&](std::size_t i) { return values[i]; },
+      [&](std::size_t i, const RecordChecks& c) {
+        ASSERT_EQ(i, calls++);
+        const RecordChecks want = record_checks(Record{0, values[i]});
+        ASSERT_EQ(c.md5, want.md5) << "value=" << values[i];
+        ASSERT_EQ(c.sum, want.sum) << "value=" << values[i];
+      });
+  EXPECT_EQ(calls, values.size());
+}
+
+// Every batch length from empty through two full batches plus a tail,
+// read from a span that starts one record into its vector.
+TEST(Record, BatchChecksEveryLengthAndOddOffset) {
+  Rng rng(18);
+  std::vector<Record> backing(2 * kCheckLanes + 2);
+  for (Record& r : backing) r = {rng(), rng()};
+  for (std::size_t len = 0; len <= 2 * kCheckLanes + 1; ++len) {
+    const std::span<const Record> recs =
+        std::span<const Record>(backing).subspan(1, len);
+    std::vector<std::size_t> order;
+    for_each_record_checks(
+        recs.size(), [&](std::size_t i) { return recs[i].value; },
+        [&](std::size_t i, const RecordChecks& c) {
+          order.push_back(i);
+          const RecordChecks want = record_checks(recs[i]);
+          EXPECT_EQ(c.md5, want.md5) << "len=" << len << " i=" << i;
+          EXPECT_EQ(c.sum, want.sum) << "len=" << len << " i=" << i;
+        });
+    ASSERT_EQ(order.size(), len);
+    for (std::size_t i = 0; i < len; ++i) EXPECT_EQ(order[i], i);
+    Checksum one_by_one;
+    for (const Record& r : recs) one_by_one.add(r);
+    EXPECT_EQ(checksum_of(recs), one_by_one) << "len=" << len;
   }
 }
 
@@ -427,40 +474,143 @@ TEST(ChainUdfs, ReducerPreservesRecordCount) {
   for (const auto& r : em.records()) EXPECT_EQ(r.key, 7u);
 }
 
-TEST(ChainUdfs, KnownAnswersForFixedRecords) {
-  constexpr std::uint64_t kSalt = 0x5a17'0000'0042ULL;
-  const Record want_map[] = {
-      {0x8c98013a303f1148ULL, 0xc67fb00287c0aa51ULL},
-      {0x9d6de2f0782ffe4fULL, 0x7aba8d4f061a88d1ULL},
-      {0x8c352cc971ddaa1fULL, 0xf1c61ad5437de22cULL},
-      {0x135362a8b3d79eb4ULL, 0x66daeda4b5dd8889ULL},
-      {0x3911a370fe551f43ULL, 0xe918b9666f005ab1ULL},
-      {0xe5a7856a659bd211ULL, 0x3e130ef82e14ba05ULL},
-      {0x5ef1f2ee13b3b230ULL, 0x633c710b603bfe4eULL},
-      {0x32f38351c021210aULL, 0x300b70bebece3c3aULL}};
-  const std::uint64_t want_reduce[] = {
-      0x04526f66a3804bd9ULL, 0xe39513b761faa381ULL, 0xdaadf19f3f1855ceULL,
-      0x22d0ad5a45bdf887ULL, 0x05600adc1475eabdULL, 0xf94ef44091ce6b2fULL,
-      0xce2c11faaacdac16ULL, 0x0412b8da368846fdULL};
+// ChainMapper's output for input {i * 1000003, kPinValues[i]} and
+// ChainReducer's output value for kPinValues[i] under key 42, both with
+// kChainPinSalt.
+constexpr std::uint64_t kChainPinSalt = 0x5a17'0000'0042ULL;
+constexpr Record kWantMap[] = {
+    {0x8c98013a303f1148ULL, 0xc67fb00287c0aa51ULL},
+    {0x9d6de2f0782ffe4fULL, 0x7aba8d4f061a88d1ULL},
+    {0x8c352cc971ddaa1fULL, 0xf1c61ad5437de22cULL},
+    {0x135362a8b3d79eb4ULL, 0x66daeda4b5dd8889ULL},
+    {0x3911a370fe551f43ULL, 0xe918b9666f005ab1ULL},
+    {0xe5a7856a659bd211ULL, 0x3e130ef82e14ba05ULL},
+    {0x5ef1f2ee13b3b230ULL, 0x633c710b603bfe4eULL},
+    {0x32f38351c021210aULL, 0x300b70bebece3c3aULL}};
+constexpr std::uint64_t kWantReduce[] = {
+    0x04526f66a3804bd9ULL, 0xe39513b761faa381ULL, 0xdaadf19f3f1855ceULL,
+    0x22d0ad5a45bdf887ULL, 0x05600adc1475eabdULL, 0xf94ef44091ce6b2fULL,
+    0xce2c11faaacdac16ULL, 0x0412b8da368846fdULL};
 
+TEST(ChainUdfs, KnownAnswersForFixedRecords) {
   workloads::ChainMapper mapper;
   Emitter mapped;
   for (std::size_t i = 0; i < std::size(kPinValues); ++i) {
-    mapper.map({i * 1000003ULL, kPinValues[i]}, kSalt, mapped);
+    mapper.map({i * 1000003ULL, kPinValues[i]}, kChainPinSalt, mapped);
   }
-  ASSERT_EQ(mapped.records().size(), std::size(want_map));
-  for (std::size_t i = 0; i < std::size(want_map); ++i) {
-    EXPECT_EQ(mapped.records()[i], want_map[i]) << "record " << i;
+  ASSERT_EQ(mapped.records().size(), std::size(kWantMap));
+  for (std::size_t i = 0; i < std::size(kWantMap); ++i) {
+    EXPECT_EQ(mapped.records()[i], kWantMap[i]) << "record " << i;
   }
 
   workloads::ChainReducer reducer;
   Emitter reduced;
-  reducer.reduce(42, kPinValues, kSalt, reduced);
-  ASSERT_EQ(reduced.records().size(), std::size(want_reduce));
-  for (std::size_t i = 0; i < std::size(want_reduce); ++i) {
-    EXPECT_EQ(reduced.records()[i], (Record{42, want_reduce[i]}))
+  reducer.reduce(42, kPinValues, kChainPinSalt, reduced);
+  ASSERT_EQ(reduced.records().size(), std::size(kWantReduce));
+  for (std::size_t i = 0; i < std::size(kWantReduce); ++i) {
+    EXPECT_EQ(reduced.records()[i], (Record{42, kWantReduce[i]}))
         << "value " << i;
   }
+}
+
+// The batch entry points give the pinned per-record outputs.
+TEST(ChainUdfs, BatchEntryPointsMatchPinnedRecords) {
+  std::vector<Record> in;
+  for (std::size_t i = 0; i < std::size(kPinValues); ++i) {
+    in.push_back({i * 1000003ULL, kPinValues[i]});
+  }
+  workloads::ChainMapper mapper;
+  Emitter mapped;
+  mapper.map_batch(in, kChainPinSalt, mapped);
+  ASSERT_EQ(mapped.records().size(), std::size(kWantMap));
+  for (std::size_t i = 0; i < std::size(kWantMap); ++i) {
+    EXPECT_EQ(mapped.records()[i], kWantMap[i]) << "record " << i;
+  }
+
+  // One key holding all 8 values, sorted as the engine hands it over.
+  std::vector<Record> one_key;
+  for (std::uint64_t v : kPinValues) one_key.push_back({42, v});
+  std::sort(one_key.begin(), one_key.end());
+  workloads::ChainReducer reducer;
+  Emitter reduced;
+  reducer.reduce_sorted(one_key, kChainPinSalt, reduced);
+  ASSERT_EQ(reduced.records().size(), one_key.size());
+  for (std::size_t i = 0; i < one_key.size(); ++i) {
+    const std::size_t pin =
+        std::find(std::begin(kPinValues), std::end(kPinValues),
+                  one_key[i].value) -
+        std::begin(kPinValues);
+    EXPECT_EQ(reduced.records()[i], (Record{42, kWantReduce[pin]}))
+        << "value " << one_key[i].value;
+  }
+
+  // Eight keys: the batch reduce equals one reduce() call per key.
+  std::vector<Record> keyed(std::begin(kWantMap), std::end(kWantMap));
+  keyed.push_back(keyed[3]);  // a key with two equal values
+  keyed.push_back({keyed[5].key, 7});
+  std::sort(keyed.begin(), keyed.end());
+  Emitter batch, per_key;
+  reducer.reduce_sorted(keyed, kChainPinSalt, batch);
+  for (std::size_t i = 0; i < keyed.size();) {
+    std::vector<std::uint64_t> values;
+    const std::uint64_t key = keyed[i].key;
+    for (; i < keyed.size() && keyed[i].key == key; ++i) {
+      values.push_back(keyed[i].value);
+    }
+    reducer.reduce(key, values, kChainPinSalt, per_key);
+  }
+  EXPECT_EQ(batch.records(), per_key.records());
+}
+
+// UDFs that override only map()/reduce() get the default batch bodies:
+// one call per record, one per key, in order, with each key's values.
+class LoggingMapper final : public MapUdf {
+ public:
+  mutable std::vector<Record> calls;
+  void map(const Record& in, std::uint64_t job_salt,
+           Emitter& out) const override {
+    calls.push_back(in);
+    out.emit(in.key, in.value ^ job_salt);
+  }
+};
+
+class LoggingReducer final : public ReduceUdf {
+ public:
+  mutable std::vector<std::pair<std::uint64_t, std::vector<std::uint64_t>>>
+      calls;
+  void reduce(std::uint64_t key, std::span<const std::uint64_t> values,
+              std::uint64_t, Emitter& out) const override {
+    calls.emplace_back(key, std::vector<std::uint64_t>(values.begin(),
+                                                       values.end()));
+    out.emit(key, values.size());
+  }
+};
+
+TEST(UdfBatch, DefaultsCallPerRecordOverridesOnceInOrder) {
+  const std::vector<Record> in{{5, 1}, {3, 2}, {5, 0}, {9, 4}, {3, 2}};
+  LoggingMapper mapper;
+  Emitter mapped;
+  mapper.map_batch(in, 0xF0, mapped);
+  EXPECT_EQ(mapper.calls, in);
+  ASSERT_EQ(mapped.records().size(), in.size());
+  EXPECT_EQ(mapped.records()[2], (Record{5, 0xF0}));
+  mapper.calls.clear();
+  mapper.map_batch({}, 0xF0, mapped);
+  EXPECT_TRUE(mapper.calls.empty());
+
+  std::vector<Record> sorted = in;
+  std::sort(sorted.begin(), sorted.end());
+  LoggingReducer reducer;
+  Emitter reduced;
+  reducer.reduce_sorted(sorted, 0, reduced);
+  using Call = std::pair<std::uint64_t, std::vector<std::uint64_t>>;
+  const std::vector<Call> want{{3, {2, 2}}, {5, {0, 1}}, {9, {4}}};
+  EXPECT_EQ(reducer.calls, want);
+  EXPECT_EQ(reduced.records(),
+            (std::vector<Record>{{3, 2}, {5, 2}, {9, 1}}));
+  reducer.calls.clear();
+  reducer.reduce_sorted({}, 0, reduced);
+  EXPECT_TRUE(reducer.calls.empty());
 }
 
 TEST(ChainUdfs, IdentityUdfsRoundTrip) {
