@@ -1,45 +1,97 @@
 #include "common/md5.hpp"
 
+#include <cstring>
+
 namespace rcmp {
 namespace {
 
 constexpr std::uint32_t kInitState[4] = {0x67452301u, 0xefcdab89u,
                                           0x98badcfeu, 0x10325476u};
 
-constexpr std::uint32_t rotl32(std::uint32_t x, int c) {
+// Lane types of the compression template. std::uint32_t is one message
+// at a time; Lanes8 carries 8 independent messages, one per 32-bit lane,
+// so their dependency chains overlap. A Lanes8 is two vectors of four
+// lanes, each one SSE2 register on x86-64 (baseline, so no target flag),
+// and every operation is one instruction per register, so the two
+// halves' chains interleave. Where the target has no vector unit, the
+// compiler lowers the vector operations lane by lane.
+constexpr std::uint32_t rotl(std::uint32_t x, int c) {
   return (x << c) | (x >> (32 - c));
+}
+
+typedef std::uint32_t U32x4 __attribute__((vector_size(16)));
+
+struct Lanes8 {
+  U32x4 lo, hi;
+
+  static Lanes8 splat(std::uint32_t v) {
+    const U32x4 x = {v, v, v, v};
+    return {x, x};
+  }
+  static Lanes8 load(const std::uint32_t* p) {
+    Lanes8 r;
+    std::memcpy(&r, p, sizeof(r));
+    return r;
+  }
+  void store(std::uint32_t* p) const { std::memcpy(p, this, sizeof(*this)); }
+};
+
+inline Lanes8 operator+(Lanes8 a, Lanes8 b) {
+  return {a.lo + b.lo, a.hi + b.hi};
+}
+inline Lanes8 operator^(Lanes8 a, Lanes8 b) {
+  return {a.lo ^ b.lo, a.hi ^ b.hi};
+}
+inline Lanes8 operator&(Lanes8 a, Lanes8 b) {
+  return {a.lo & b.lo, a.hi & b.hi};
+}
+inline Lanes8 operator|(Lanes8 a, Lanes8 b) {
+  return {a.lo | b.lo, a.hi | b.hi};
+}
+inline Lanes8 operator~(Lanes8 a) { return {~a.lo, ~a.hi}; }
+inline Lanes8 rotl(Lanes8 x, int c) {
+  return {(x.lo << c) | (x.lo >> (32 - c)), (x.hi << c) | (x.hi >> (32 - c))};
+}
+
+// A constant operand (sine constant, padding word) is the same in every
+// lane.
+inline Lanes8 operator+(Lanes8 a, std::uint32_t k) {
+  return a + Lanes8::splat(k);
 }
 
 // One step of each round: a = b + rotl(a + fn(b, c, d) + m + k, s).
 // b is the previous step's result, so each step adds a + m + k first
 // and takes as few operations after b as it can: F and I two, H one
 // (c ^ d is ready early), and G one, because (b & d) | (c & ~d) is the
-// sum of two disjoint terms and c & ~d does not need b.
-inline void ff(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
-               std::uint32_t d, std::uint32_t m, std::uint32_t k, int s) {
-  a = b + rotl32((d ^ (b & (c ^ d))) + (a + m + k), s);
+// sum of two disjoint terms and c & ~d does not need b. `m + k` comes
+// first so that a constant message word folds into the constant.
+template <class T, class W>
+inline void ff(T& a, T b, T c, T d, W m, std::uint32_t k, int s) {
+  a = b + rotl((d ^ (b & (c ^ d))) + (a + (m + k)), s);
 }
-inline void gg(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
-               std::uint32_t d, std::uint32_t m, std::uint32_t k, int s) {
-  a = b + rotl32((b & d) + ((a + m + k) + (c & ~d)), s);
+template <class T, class W>
+inline void gg(T& a, T b, T c, T d, W m, std::uint32_t k, int s) {
+  a = b + rotl((b & d) + ((a + (m + k)) + (c & ~d)), s);
 }
-inline void hh(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
-               std::uint32_t d, std::uint32_t m, std::uint32_t k, int s) {
-  a = b + rotl32((b ^ (c ^ d)) + (a + m + k), s);
+template <class T, class W>
+inline void hh(T& a, T b, T c, T d, W m, std::uint32_t k, int s) {
+  a = b + rotl((b ^ (c ^ d)) + (a + (m + k)), s);
 }
-inline void ii(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
-               std::uint32_t d, std::uint32_t m, std::uint32_t k, int s) {
-  a = b + rotl32((c ^ (b | ~d)) + (a + m + k), s);
+template <class T, class W>
+inline void ii(T& a, T b, T c, T d, W m, std::uint32_t k, int s) {
+  a = b + rotl((c ^ (b | ~d)) + (a + (m + k)), s);
 }
 
 // The MD5 compression function over one block of 16 little-endian
 // words, fully unrolled: every step's shift, sine constant
 // (floor(2^32 * abs(sin(i + 1)))) and message-word index is a literal.
-// Inlined into each caller, so hash64_words folds the constant padding
-// block's words into its steps.
-[[gnu::always_inline]] inline void compress(std::uint32_t st[4],
-                                            const std::uint32_t m[16]) {
-  std::uint32_t a = st[0], b = st[1], c = st[2], d = st[3];
+// The one implementation for every lane type T; message words W are T
+// or, for the constant padding block, std::uint32_t. Inlined into each
+// caller, so the hash64 entries fold the padding block's words into
+// their steps.
+template <class T, class W>
+[[gnu::always_inline]] inline void compress(T st[4], const W m[16]) {
+  T a = st[0], b = st[1], c = st[2], d = st[3];
 
   ff(a, b, c, d, m[0], 0xd76aa478, 7);
   ff(d, a, b, c, m[1], 0xe8c7b756, 12);
@@ -109,10 +161,10 @@ inline void ii(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
   ii(c, d, a, b, m[2], 0x2ad7d2bb, 15);
   ii(b, c, d, a, m[9], 0xeb86d391, 21);
 
-  st[0] += a;
-  st[1] += b;
-  st[2] += c;
-  st[3] += d;
+  st[0] = st[0] + a;
+  st[1] = st[1] + b;
+  st[2] = st[2] + c;
+  st[3] = st[3] + d;
 }
 
 // The padding block of a 64-byte message: 0x80, zeros, then the bit
@@ -211,6 +263,23 @@ std::uint64_t Md5::hash64_words(const std::uint32_t m[16]) {
   // Digest bytes 0..7 are a and b, little-endian.
   return static_cast<std::uint64_t>(st[0]) |
          (static_cast<std::uint64_t>(st[1]) << 32);
+}
+
+void Md5::hash64_words_x8(const std::uint32_t m[16][8],
+                          std::uint64_t out[8]) {
+  Lanes8 w[16];
+  for (int i = 0; i < 16; ++i) w[i] = Lanes8::load(m[i]);
+  Lanes8 st[4] = {Lanes8::splat(kInitState[0]), Lanes8::splat(kInitState[1]),
+                  Lanes8::splat(kInitState[2]), Lanes8::splat(kInitState[3])};
+  compress(st, w);
+  compress(st, kPadBlock64);
+  std::uint32_t a[8], b[8];
+  st[0].store(a);
+  st[1].store(b);
+  for (int lane = 0; lane < 8; ++lane) {
+    out[lane] = static_cast<std::uint64_t>(a[lane]) |
+                (static_cast<std::uint64_t>(b[lane]) << 32);
+  }
 }
 
 std::string Md5::to_hex(const Digest& d) {

@@ -48,6 +48,13 @@ class Md5 {
   /// buffering — the single-record fast path of the workload's check.
   static std::uint64_t hash64_words(const std::uint32_t m[16]);
 
+  /// hash64_words of 8 independent messages in one call, one per 32-bit
+  /// lane of the compression: `m[w][lane]` is word w of message `lane`,
+  /// and `out[lane]` its hash64. Independent chains overlap, so a full
+  /// call costs far less than 8 single-message calls.
+  static void hash64_words_x8(const std::uint32_t m[16][8],
+                              std::uint64_t out[8]);
+
   static std::string to_hex(const Digest& d);
 
  private:

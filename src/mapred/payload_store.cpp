@@ -105,7 +105,7 @@ Checksum PayloadStore::file_checksum(dfs::FileId f,
   for (dfs::PartitionIndex p = 0; p < num_partitions; ++p) {
     auto it = parts_.find(key(f, p));
     if (it == parts_.end()) continue;
-    for (const Record& r : it->second.records) c.add(r);
+    c.add_all(it->second.records);
   }
   return c;
 }

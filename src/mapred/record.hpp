@@ -83,15 +83,22 @@ inline RecordChecks record_checks(const Record& r) {
   return {Md5::hash64_words(m), sum};
 }
 
-/// Records per call of the multi-record check kernel.
+/// Records per call of the multi-record check kernel, Md5's 8-lane
+/// compression.
 inline constexpr std::size_t kCheckLanes = 8;
 
-/// record_checks of `n` <= kCheckLanes values in one kernel call.
+/// Shortest run worth the multi-record kernel: an idle lane costs as
+/// much as a busy one, so one or two records go through record_checks.
+inline constexpr std::size_t kMinLaneRecords = 3;
+
+/// record_checks of `n` <= kCheckLanes values in one call of the
+/// multi-record kernel; lanes beyond `n` idle.
 void record_checks_lanes(const std::uint64_t* values, std::size_t n,
                          RecordChecks* out);
 
 /// Calls `f(i, record_checks of a record with value value_at(i))` for
-/// i = 0..n-1, in order. The checks depend on the value only.
+/// i = 0..n-1, in order, kCheckLanes values per kernel call. The checks
+/// depend on the value only.
 template <class ValueAt, class F>
 inline void for_each_record_checks(std::size_t n, ValueAt&& value_at,
                                    F&& f) {
@@ -99,6 +106,11 @@ inline void for_each_record_checks(std::size_t n, ValueAt&& value_at,
   RecordChecks checks[kCheckLanes];
   for (std::size_t i = 0; i < n;) {
     const std::size_t k = std::min(n - i, kCheckLanes);
+    if (k < kMinLaneRecords) {
+      f(i, record_checks(Record{0, value_at(i)}));
+      ++i;
+      continue;
+    }
     for (std::size_t j = 0; j < k; ++j) values[j] = value_at(i + j);
     record_checks_lanes(values, k, checks);
     for (std::size_t j = 0; j < k; ++j) f(i + j, checks[j]);

@@ -234,6 +234,30 @@ TEST(Md5, Hash64WordsMatchesStreamingHash) {
   }
 }
 
+// Each lane of the 8-message entry equals the one-block entry of that
+// lane's message; lanes 0 and 1 carry all-zero and all-ones blocks.
+TEST(Md5, EightLaneEntryMatchesOneBlockEntry) {
+  Rng rng(88);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::uint32_t m[16][8];
+    for (int i = 0; i < 16; ++i) {
+      for (int lane = 0; lane < 8; ++lane) {
+        m[i][lane] = lane == 0   ? 0u
+                     : lane == 1 ? ~0u
+                                 : static_cast<std::uint32_t>(rng());
+      }
+    }
+    std::uint64_t out[8];
+    Md5::hash64_words_x8(m, out);
+    for (int lane = 0; lane < 8; ++lane) {
+      std::uint32_t one[16];
+      for (int i = 0; i < 16; ++i) one[i] = m[i][lane];
+      ASSERT_EQ(out[lane], Md5::hash64_words(one))
+          << "trial=" << trial << " lane=" << lane;
+    }
+  }
+}
+
 TEST(Md5, Hash64StableAndDistinct) {
   EXPECT_EQ(Md5::hash64("hello"), Md5::hash64("hello"));
   EXPECT_NE(Md5::hash64("hello"), Md5::hash64("hellp"));
