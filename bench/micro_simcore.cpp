@@ -243,14 +243,19 @@ BENCHMARK(BM_TracerEmit)->Arg(0)->Arg(1);
 // The paper's two per-record checks (MD5 and byte sum), which every
 // chain mapper and reducer and every Checksum::add runs once per
 // record: the host cost of a payload UDF.
-void BM_RecordChecks(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  std::vector<mapred::Record> records(batch);
+std::vector<mapred::Record> seeded_records(std::size_t n) {
+  std::vector<mapred::Record> records(n);
   Rng rng(4096);
   for (mapred::Record& r : records) {
     r.key = rng();
     r.value = rng();
   }
+  return records;
+}
+
+void BM_RecordChecks(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const std::vector<mapred::Record> records = seeded_records(batch);
   for (auto _ : state) {
     std::uint64_t md5_acc = 0;
     std::uint64_t sum_acc = 0;
@@ -266,6 +271,27 @@ void BM_RecordChecks(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_RecordChecks)->Arg(4096);
+
+// The same records through the multi-record kernel, 8 per call.
+void BM_RecordChecksBatch(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const std::vector<mapred::Record> records = seeded_records(batch);
+  for (auto _ : state) {
+    std::uint64_t md5_acc = 0;
+    std::uint64_t sum_acc = 0;
+    mapred::for_each_record_checks(
+        records.size(), [&](std::size_t i) { return records[i].value; },
+        [&](std::size_t, const mapred::RecordChecks& c) {
+          md5_acc += c.md5;
+          sum_acc += c.sum;
+        });
+    benchmark::DoNotOptimize(md5_acc);
+    benchmark::DoNotOptimize(sum_acc);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_RecordChecksBatch)->Arg(4096);
 
 void BM_SticChain(benchmark::State& state) {
   for (auto _ : state) {
