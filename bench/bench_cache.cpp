@@ -20,25 +20,19 @@
 // least 2x at seed 42, or the bench exits nonzero. The 0%-overlap
 // point carries the inverse bar: no hits may occur, and the makespan
 // must stay within 1% of cache-off (probing must be ~free).
-//
-// Like bench_memtier, emits a machine-readable summary
-// (--json_out=BENCH_cache.json) and can gate on a checked-in baseline
-// (--baseline=bench/BENCH_cache.baseline.json, exit 1 when any record
-// runs >2x slower than its baseline wall time or any simulated counter
-// differs from its baseline value).
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "extension_suites.hpp"
 #include "workloads/multi_scenario.hpp"
 
 namespace {
 
 using rcmp::bench::BenchRecord;
+using rcmp::bench::fail;
+using rcmp::bench::wall_ns_since;
 using rcmp::core::Strategy;
 using rcmp::workloads::MultiScenario;
 using rcmp::workloads::MultiScenarioConfig;
@@ -55,13 +49,6 @@ MultiScenarioConfig scene_config(const std::vector<std::uint64_t>& ids) {
   return cfg;
 }
 
-double wall_ns_since(std::chrono::steady_clock::time_point start) {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
 struct SceneRun {
   double makespan_s = 0.0;
   double wall_ns = 0.0;
@@ -69,24 +56,17 @@ struct SceneRun {
   std::uint64_t publishes = 0;
 };
 
-/// Simulation outputs are deterministic, so repeats only tighten the
-/// wall-time estimate: report the best of three (the regression gate
-/// compares wall times, and single ~50 ms runs jitter past 2x under
-/// host load).
 SceneRun run_scene(const std::vector<std::uint64_t>& ids, bool cache_on) {
   auto strategy = rcmp::bench::make_strategy(Strategy::kRcmpSplit);
   strategy.result_cache = cache_on;
   SceneRun out;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    MultiScenario ms(scene_config(ids));
-    ms.run(strategy);
-    const double wall = wall_ns_since(start);
-    out.wall_ns = rep == 0 ? wall : std::min(out.wall_ns, wall);
-    out.makespan_s = ms.sim().now();
-    out.hits = ms.obs().metrics.counter("cache.hits");
-    out.publishes = ms.obs().metrics.counter("cache.publishes");
-  }
+  const auto start = std::chrono::steady_clock::now();
+  MultiScenario ms(scene_config(ids));
+  ms.run(strategy);
+  out.wall_ns = wall_ns_since(start);
+  out.makespan_s = ms.sim().now();
+  out.hits = ms.obs().metrics.counter("cache.hits");
+  out.publishes = ms.obs().metrics.counter("cache.publishes");
   return out;
 }
 
@@ -96,9 +76,7 @@ BenchRecord overlap_point(const std::string& name,
   const SceneRun off = run_scene(ids, /*cache_on=*/false);
   const SceneRun on = run_scene(ids, /*cache_on=*/true);
   if (off.hits != 0 || off.publishes != 0) {
-    std::fprintf(stderr, "%s: cache-off run touched the cache\n",
-                 name.c_str());
-    std::exit(1);
+    fail("%s: cache-off run touched the cache\n", name.c_str());
   }
   const double speedup = off.makespan_s / on.makespan_s;
   if (on_out != nullptr) *on_out = on;
@@ -113,38 +91,12 @@ BenchRecord overlap_point(const std::string& name,
   rec.counters.emplace_back("hits", static_cast<double>(on.hits));
   rec.counters.emplace_back("publishes",
                             static_cast<double>(on.publishes));
-  std::printf("%-11s  wall %7.1f ms  off %8.1f s  on %8.1f s  "
-              "(%.2fx)  hits %llu  publishes %llu\n",
-              name.c_str(), rec.real_time_ns / 1e6, off.makespan_s,
-              on.makespan_s, speedup,
-              static_cast<unsigned long long>(on.hits),
-              static_cast<unsigned long long>(on.publishes));
   return rec;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_out;
-  std::string baseline;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 1;
-    }
-  }
-
-  rcmp::bench::print_figure_header(
-      "BENCH cache",
-      "Cluster-wide fingerprint-keyed result cache on four serialized "
-      "STIC chains: cache-off vs cache-on makespans at 0%/50%/100% "
-      "dataset overlap. 0% must be hit-free and overhead-neutral; "
-      "100% must cut shared-dataset makespan by at least 2x.");
-
+std::vector<BenchRecord> rcmp::bench::run_cache() {
   std::vector<BenchRecord> records;
   SceneRun on0, off0;
   records.push_back(overlap_point(
@@ -158,55 +110,25 @@ int main(int argc, char** argv) {
   // Inverse bar: with zero overlap every probe misses, and probing must
   // not move the makespan (the zero-cost-when-cold contract).
   if (on0.hits != 0) {
-    std::fprintf(stderr,
-                 "overlap0 produced %llu cache hits — distinct datasets "
-                 "must never cross-hit\n",
-                 static_cast<unsigned long long>(on0.hits));
-    return 1;
+    fail("overlap0 produced %llu cache hits — distinct datasets must "
+         "never cross-hit\n",
+         static_cast<unsigned long long>(on0.hits));
   }
   if (std::fabs(on0.makespan_s - off0.makespan_s) >
       0.01 * off0.makespan_s) {
-    std::fprintf(stderr,
-                 "overlap0 makespan drifted: off %.3f s vs on %.3f s — "
-                 "cold probing is supposed to be free\n",
-                 off0.makespan_s, on0.makespan_s);
-    return 1;
+    fail("overlap0 makespan drifted: off %.3f s vs on %.3f s — cold "
+         "probing is supposed to be free\n",
+         off0.makespan_s, on0.makespan_s);
   }
 
-  // The PR's acceptance bar: full dataset overlap must at least halve
-  // the four-tenant makespan (three whole-chain borrows ~> 4x).
-  if (on100.hits == 0) {
-    std::fprintf(stderr, "overlap100 produced no cache hits\n");
-    return 1;
-  }
+  // The acceptance bar: full dataset overlap must at least halve the
+  // four-tenant makespan (three whole-chain borrows ~> 4x).
+  if (on100.hits == 0) fail("overlap100 produced no cache hits\n");
   const double speedup100 = off100.makespan_s / on100.makespan_s;
   if (speedup100 < 2.0) {
-    std::fprintf(stderr,
-                 "result-cache acceptance bar missed: %.2fx < 2x at "
-                 "100%% overlap\n",
-                 speedup100);
-    return 1;
+    fail("result-cache acceptance bar missed: %.2fx < 2x at 100%% "
+         "overlap\n",
+         speedup100);
   }
-
-  if (!json_out.empty() &&
-      !rcmp::bench::write_bench_json(json_out, records)) {
-    std::fprintf(stderr, "failed to write %s\n", json_out.c_str());
-    return 1;
-  }
-  if (!baseline.empty()) {
-    const auto base = rcmp::bench::read_bench_json(baseline);
-    if (base.empty()) {
-      std::fprintf(stderr, "baseline %s missing or empty\n",
-                   baseline.c_str());
-      return 1;
-    }
-    // Makespans and cache counts are seed-deterministic: gate them
-    // exactly.
-    if (rcmp::bench::count_regressions(
-            records, base, 2.0,
-            {"off_s", "on_s", "speedup", "hits", "publishes"}) > 0) {
-      return 1;
-    }
-  }
-  return 0;
+  return records;
 }

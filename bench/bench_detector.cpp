@@ -14,26 +14,20 @@
 // heartbeat-loss window long enough to falsely suspect a healthy node —
 // the chain pays for spurious recomputation until reconciliation, and
 // the bench reports that slowdown next to the suspicion counters.
-//
-// Like bench_multichain, emits a machine-readable summary
-// (--json_out=BENCH_detector.json) and can gate on a checked-in
-// baseline (--baseline=bench/BENCH_detector.baseline.json, exit 1 when
-// any record runs >2x slower than its baseline wall time or any
-// simulated counter differs from its baseline value).
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "extension_suites.hpp"
 #include "cluster/chaos.hpp"
 #include "workloads/scenario.hpp"
 
 namespace {
 
 using rcmp::bench::BenchRecord;
+using rcmp::bench::fail;
+using rcmp::bench::wall_ns_since;
 using rcmp::cluster::FaultEvent;
 using rcmp::cluster::FaultMode;
 using rcmp::cluster::FaultSchedule;
@@ -48,13 +42,6 @@ ScenarioConfig base_config() {
   cfg.cluster.racks = 2;
   cfg.input_replication = 4;
   return cfg;
-}
-
-double wall_ns_since(std::chrono::steady_clock::time_point start) {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
 }
 
 FaultSchedule one_event(FaultMode mode, rcmp::SimTime downtime = 60.0) {
@@ -73,10 +60,7 @@ double oracle_total() {
   Scenario s(base_config());
   const auto r =
       s.run(rcmp::bench::make_strategy(Strategy::kRcmpSplit));
-  if (!r.completed) {
-    std::fprintf(stderr, "oracle run failed to complete\n");
-    std::exit(1);
-  }
+  if (!r.completed) fail("oracle run failed to complete\n");
   return r.total_time;
 }
 
@@ -93,17 +77,13 @@ BenchRecord latency_point(double hb, double timeout, double baseline_s) {
       one_event(FaultMode::kKill));
   const double wall = wall_ns_since(start);
   if (!r.completed) {
-    std::fprintf(stderr, "latency run hb=%g to=%g did not complete\n",
-                 hb, timeout);
-    std::exit(1);
+    fail("latency run hb=%g to=%g did not complete\n", hb, timeout);
   }
   const double ttd = s.detector()->last_time_to_detect();
   if (ttd < 0.0 || ttd > timeout + hb + 1e-9) {
-    std::fprintf(stderr,
-                 "detection latency contract violated: ttd=%g with "
-                 "timeout=%g interval=%g\n",
-                 ttd, timeout, hb);
-    std::exit(1);
+    fail("detection latency contract violated: ttd=%g with timeout=%g "
+         "interval=%g\n",
+         ttd, timeout, hb);
   }
 
   BenchRecord rec;
@@ -115,10 +95,6 @@ BenchRecord latency_point(double hb, double timeout, double baseline_s) {
   rec.counters.emplace_back("time_to_detect_s", ttd);
   rec.counters.emplace_back("total_s", r.total_time);
   rec.counters.emplace_back("slowdown", r.total_time / baseline_s);
-  std::printf("hb %4.1f s  timeout %5.1f s  wall %7.1f ms  "
-              "time-to-detect %5.1f s  chain %7.1f s  (%.2fx)\n",
-              hb, timeout, wall / 1e6, ttd, r.total_time,
-              r.total_time / baseline_s);
   return rec;
 }
 
@@ -132,11 +108,8 @@ BenchRecord overhead_point(double baseline_s) {
       s.run(rcmp::bench::make_strategy(Strategy::kRcmpSplit));
   const double wall = wall_ns_since(start);
   if (!r.completed || r.total_time != baseline_s) {
-    std::fprintf(stderr,
-                 "detector-on fault-free run diverged from oracle: "
-                 "%.9f vs %.9f\n",
-                 r.total_time, baseline_s);
-    std::exit(1);
+    fail("detector-on fault-free run diverged from oracle: %.9f vs %.9f\n",
+         r.total_time, baseline_s);
   }
 
   BenchRecord rec;
@@ -146,12 +119,6 @@ BenchRecord overhead_point(double baseline_s) {
       "heartbeats",
       static_cast<double>(s.detector()->heartbeats_received()));
   rec.counters.emplace_back("total_s", r.total_time);
-  std::printf("no-chaos overhead  wall %7.1f ms  heartbeats %llu  "
-              "chain %7.1f s (oracle-identical)\n",
-              wall / 1e6,
-              static_cast<unsigned long long>(
-                  s.detector()->heartbeats_received()),
-              r.total_time);
   return rec;
 }
 
@@ -165,16 +132,10 @@ BenchRecord false_suspicion_point(double baseline_s) {
       rcmp::bench::make_strategy(Strategy::kRcmpSplit),
       one_event(FaultMode::kHeartbeatLoss, /*downtime=*/60.0));
   const double wall = wall_ns_since(start);
-  if (!r.completed) {
-    std::fprintf(stderr, "false-suspicion run did not complete\n");
-    std::exit(1);
-  }
+  if (!r.completed) fail("false-suspicion run did not complete\n");
   const auto* d = s.detector();
   if (d->false_suspicions() == 0 || d->reconciliations() == 0) {
-    std::fprintf(stderr,
-                 "heartbeat-loss drill raised no reconciled false "
-                 "suspicion\n");
-    std::exit(1);
+    fail("heartbeat-loss drill raised no reconciled false suspicion\n");
   }
 
   BenchRecord rec;
@@ -186,35 +147,12 @@ BenchRecord false_suspicion_point(double baseline_s) {
                             static_cast<double>(d->reconciliations()));
   rec.counters.emplace_back("total_s", r.total_time);
   rec.counters.emplace_back("slowdown", r.total_time / baseline_s);
-  std::printf("false suspicion    wall %7.1f ms  suspected %u  "
-              "reconciled %u  chain %7.1f s  (%.2fx)\n",
-              wall / 1e6, d->false_suspicions(), d->reconciliations(),
-              r.total_time, r.total_time / baseline_s);
   return rec;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_out;
-  std::string baseline;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 1;
-    }
-  }
-
-  rcmp::bench::print_figure_header(
-      "BENCH detector",
-      "Heartbeat failure detector: time-to-detect across heartbeat/"
-      "timeout settings on a mid-chain kill, control-plane overhead "
-      "with no chaos, and the cost of one reconciled false suspicion.");
-
+std::vector<BenchRecord> rcmp::bench::run_detector() {
   const double baseline_s = oracle_total();
   std::vector<BenchRecord> records;
   for (const auto& [hb, timeout] :
@@ -224,27 +162,5 @@ int main(int argc, char** argv) {
   }
   records.push_back(overhead_point(baseline_s));
   records.push_back(false_suspicion_point(baseline_s));
-
-  if (!json_out.empty() &&
-      !rcmp::bench::write_bench_json(json_out, records)) {
-    std::fprintf(stderr, "failed to write %s\n", json_out.c_str());
-    return 1;
-  }
-  if (!baseline.empty()) {
-    const auto base = rcmp::bench::read_bench_json(baseline);
-    if (base.empty()) {
-      std::fprintf(stderr, "baseline %s missing or empty\n",
-                   baseline.c_str());
-      return 1;
-    }
-    // Detection latencies, makespans and detector counts are
-    // seed-deterministic: gate them exactly.
-    if (rcmp::bench::count_regressions(
-            records, base, 2.0,
-            {"time_to_detect_s", "total_s", "slowdown", "heartbeats",
-             "false_suspicions", "reconciliations"}) > 0) {
-      return 1;
-    }
-  }
-  return 0;
+  return records;
 }

@@ -14,24 +14,18 @@
 // force oldest-first demotion (spill-to-disk): the run must still
 // complete — spills change timing, never data — and must actually
 // spill, or the pressure path is untested.
-//
-// Like bench_detector, emits a machine-readable summary
-// (--json_out=BENCH_memtier.json) and can gate on a checked-in
-// baseline (--baseline=bench/BENCH_memtier.baseline.json, exit 1 when
-// any record runs >2x slower than its baseline wall time or any
-// simulated counter differs from its baseline value).
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "extension_suites.hpp"
 #include "workloads/scenario.hpp"
 
 namespace {
 
 using rcmp::bench::BenchRecord;
+using rcmp::bench::fail;
+using rcmp::bench::wall_ns_since;
 using rcmp::core::Strategy;
 using rcmp::workloads::Scenario;
 using rcmp::workloads::ScenarioConfig;
@@ -42,26 +36,16 @@ ScenarioConfig base_config() {
   return cfg;
 }
 
-double wall_ns_since(std::chrono::steady_clock::time_point start) {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
 /// Disk-only RCMP reference: the memory tier disabled at the cluster
 /// level (ram_bytes 0), i.e. the exact pre-tier code path.
 double disk_total() {
   Scenario s(base_config());
   const auto r = s.run(rcmp::bench::make_strategy(Strategy::kRcmpSplit));
-  if (!r.completed) {
-    std::fprintf(stderr, "disk-only run failed to complete\n");
-    std::exit(1);
-  }
+  if (!r.completed) fail("disk-only run failed to complete\n");
   return r.total_time;
 }
 
-BenchRecord ratio_point(double ratio, double disk_s, double* speedup_out) {
+BenchRecord ratio_point(double ratio, double disk_s) {
   auto cfg = base_config();
   cfg.cluster.ram_bytes = 64ULL << 30;  // ample: pure-tier comparison
   cfg.cluster.mem_cost_ratio = ratio;
@@ -73,12 +57,15 @@ BenchRecord ratio_point(double ratio, double disk_s, double* speedup_out) {
   const auto r = s.run(strategy);
   const double wall = wall_ns_since(start);
   if (!r.completed) {
-    std::fprintf(stderr, "memory-tier run at ratio %g did not complete\n",
-                 ratio);
-    std::exit(1);
+    fail("memory-tier run at ratio %g did not complete\n", ratio);
   }
   const double speedup = disk_s / r.total_time;
-  if (speedup_out != nullptr) *speedup_out = speedup;
+  // The acceptance bar: at M3R's 100x ratio the memory tier must at
+  // least halve the iterative chain's makespan.
+  if (ratio == 100.0 && speedup < 2.0) {
+    fail("memory-tier acceptance bar missed: %.2fx < 2x at ratio 100\n",
+         speedup);
+  }
 
   BenchRecord rec;
   char name[64];
@@ -88,9 +75,6 @@ BenchRecord ratio_point(double ratio, double disk_s, double* speedup_out) {
   rec.counters.emplace_back("disk_s", disk_s);
   rec.counters.emplace_back("mem_s", r.total_time);
   rec.counters.emplace_back("speedup", speedup);
-  std::printf("ratio %6.0fx  wall %7.1f ms  disk %8.1f s  mem %8.1f s  "
-              "(%.2fx)\n",
-              ratio, wall / 1e6, disk_s, r.total_time, speedup);
   return rec;
 }
 
@@ -108,16 +92,11 @@ BenchRecord pressure_point() {
   Scenario s(cfg);
   const auto r = s.run(strategy);
   const double wall = wall_ns_since(start);
-  if (!r.completed) {
-    std::fprintf(stderr, "spill-pressure run did not complete\n");
-    std::exit(1);
-  }
+  if (!r.completed) fail("spill-pressure run did not complete\n");
   const auto spills = s.obs().metrics.counter("storage.tier.spills");
   if (spills == 0) {
-    std::fprintf(stderr,
-                 "spill-pressure scene produced no spills — RAM not "
-                 "under pressure, the demotion path is untested\n");
-    std::exit(1);
+    fail("spill-pressure scene produced no spills — RAM not under "
+         "pressure, the demotion path is untested\n");
   }
 
   BenchRecord rec;
@@ -125,74 +104,17 @@ BenchRecord pressure_point() {
   rec.real_time_ns = wall;
   rec.counters.emplace_back("total_s", r.total_time);
   rec.counters.emplace_back("spills", static_cast<double>(spills));
-  std::printf("spill pressure  wall %7.1f ms  chain %8.1f s  "
-              "spills %llu\n",
-              wall / 1e6, r.total_time,
-              static_cast<unsigned long long>(spills));
   return rec;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_out;
-  std::string baseline;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 1;
-    }
-  }
-
-  rcmp::bench::print_figure_header(
-      "BENCH memtier",
-      "Memory-tier intermediate storage on the iterative STIC chain: "
-      "disk-only RCMP vs memory-resident outputs at 1x/10x/100x "
-      "memory/disk cost ratios, plus a RAM-pressure scene that must "
-      "spill and still complete.");
-
+std::vector<BenchRecord> rcmp::bench::run_memtier() {
   const double disk_s = disk_total();
   std::vector<BenchRecord> records;
-  double speedup100 = 0.0;
   for (double ratio : {1.0, 10.0, 100.0}) {
-    records.push_back(ratio_point(
-        ratio, disk_s, ratio == 100.0 ? &speedup100 : nullptr));
+    records.push_back(ratio_point(ratio, disk_s));
   }
   records.push_back(pressure_point());
-
-  // The PR's acceptance bar: at M3R's 100x ratio the memory tier must
-  // at least halve the iterative chain's makespan.
-  if (speedup100 < 2.0) {
-    std::fprintf(stderr,
-                 "memory-tier acceptance bar missed: %.2fx < 2x at "
-                 "ratio 100\n",
-                 speedup100);
-    return 1;
-  }
-
-  if (!json_out.empty() &&
-      !rcmp::bench::write_bench_json(json_out, records)) {
-    std::fprintf(stderr, "failed to write %s\n", json_out.c_str());
-    return 1;
-  }
-  if (!baseline.empty()) {
-    const auto base = rcmp::bench::read_bench_json(baseline);
-    if (base.empty()) {
-      std::fprintf(stderr, "baseline %s missing or empty\n",
-                   baseline.c_str());
-      return 1;
-    }
-    // Makespans and spill counts are seed-deterministic: gate them
-    // exactly.
-    if (rcmp::bench::count_regressions(
-            records, base, 2.0,
-            {"disk_s", "mem_s", "speedup", "total_s", "spills"}) > 0) {
-      return 1;
-    }
-  }
-  return 0;
+  return records;
 }

@@ -12,25 +12,19 @@
 // Blast radius: four tenants, two active when a node dies, two
 // submitted long after. Only the damaged pair may replan — the late
 // pair's replan counters must stay zero.
-//
-// Like micro_simcore, emits a machine-readable summary
-// (--json_out=BENCH_multichain.json) and can gate on a checked-in
-// baseline (--baseline=bench/BENCH_multichain.baseline.json, exit 1
-// when any record runs >2x slower than its baseline wall time or any
-// simulated counter differs from its baseline value).
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "extension_suites.hpp"
 #include "workloads/multi_scenario.hpp"
 
 namespace {
 
 using rcmp::bench::BenchRecord;
+using rcmp::bench::fail;
+using rcmp::bench::wall_ns_since;
 using rcmp::core::Strategy;
 using rcmp::workloads::MultiScenario;
 using rcmp::workloads::MultiScenarioConfig;
@@ -44,14 +38,6 @@ MultiScenarioConfig chains_config(std::uint32_t chains) {
   return cfg;
 }
 
-double wall_ns_since(
-    std::chrono::steady_clock::time_point start) {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
 BenchRecord scale_point(std::uint32_t chains) {
   const auto start = std::chrono::steady_clock::now();
   MultiScenario ms(chains_config(chains));
@@ -62,10 +48,7 @@ BenchRecord scale_point(std::uint32_t chains) {
   double makespan = 0.0, sum = 0.0;
   std::uint64_t grants = 0;
   for (std::uint32_t c = 0; c < chains; ++c) {
-    if (!results[c].completed) {
-      std::fprintf(stderr, "chain %u failed to complete\n", c);
-      std::exit(1);
-    }
+    if (!results[c].completed) fail("chain %u failed to complete\n", c);
     makespan = std::max(makespan, results[c].total_time);
     sum += results[c].total_time;
     grants += ms.scheduler().grants(c);
@@ -81,12 +64,6 @@ BenchRecord scale_point(std::uint32_t chains) {
       "denials", static_cast<double>(ms.scheduler().total_denials()));
   rec.counters.emplace_back(
       "pokes", static_cast<double>(ms.scheduler().pokes_run()));
-  std::printf("%8u chains  wall %8.1f ms  makespan %9.1f s  mean %9.1f s"
-              "  grants %7llu  denials %6llu\n",
-              chains, wall / 1e6, makespan,
-              sum / static_cast<double>(chains),
-              static_cast<unsigned long long>(grants),
-              static_cast<unsigned long long>(ms.scheduler().total_denials()));
   return rec;
 }
 
@@ -123,9 +100,8 @@ BenchRecord blast_radius_point() {
     (c < 2 ? damaged_replans : untouched_replans) += replans;
   }
   if (untouched_replans != 0) {
-    std::fprintf(stderr, "blast radius leak: %u replans on late chains\n",
-                 untouched_replans);
-    std::exit(1);
+    fail("blast radius leak: %u replans on late chains\n",
+         untouched_replans);
   }
   BenchRecord rec;
   rec.name = "multichain/blast_radius";
@@ -135,59 +111,16 @@ BenchRecord blast_radius_point() {
                             static_cast<double>(damaged_replans));
   rec.counters.emplace_back("untouched_replans",
                             static_cast<double>(untouched_replans));
-  std::printf("blast radius  wall %8.1f ms  completed %u/4  "
-              "damaged replans %u  untouched replans %u\n",
-              wall / 1e6, completed, damaged_replans, untouched_replans);
   return rec;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_out;
-  std::string baseline;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 1;
-    }
-  }
-
-  rcmp::bench::print_figure_header(
-      "BENCH multichain",
-      "Multi-tenant scheduler: 1->16 chain scaling on one shared "
-      "cluster, plus blast-radius isolation on a mid-run node kill.");
-
+std::vector<BenchRecord> rcmp::bench::run_multichain() {
   std::vector<BenchRecord> records;
   for (std::uint32_t chains : {1u, 2u, 4u, 8u, 16u}) {
     records.push_back(scale_point(chains));
   }
   records.push_back(blast_radius_point());
-
-  if (!json_out.empty() &&
-      !rcmp::bench::write_bench_json(json_out, records)) {
-    std::fprintf(stderr, "failed to write %s\n", json_out.c_str());
-    return 1;
-  }
-  if (!baseline.empty()) {
-    const auto base = rcmp::bench::read_bench_json(baseline);
-    if (base.empty()) {
-      std::fprintf(stderr, "baseline %s missing or empty\n",
-                   baseline.c_str());
-      return 1;
-    }
-    // Simulated outputs and scheduler counts are seed-deterministic:
-    // gate them exactly.
-    if (rcmp::bench::count_regressions(
-            records, base, 2.0,
-            {"makespan_s", "mean_chain_s", "grants", "denials", "pokes",
-             "completed", "damaged_replans", "untouched_replans"}) > 0) {
-      return 1;
-    }
-  }
-  return 0;
+  return records;
 }

@@ -21,24 +21,18 @@
 //     same depth (replay depth must actually track journal length);
 //   - a late crash recovers faster than an early one — the point of
 //     the journal is that replayed (adopted) work is not redone.
-//
-// Like bench_cache, emits a machine-readable summary
-// (--json_out=BENCH_recovery.json) and gates on a checked-in baseline
-// (--baseline=bench/BENCH_recovery.baseline.json, exit 1 when any
-// record runs >2x slower than its baseline wall time or any simulated
-// counter differs from its baseline value).
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "extension_suites.hpp"
 #include "workloads/scenario.hpp"
 
 namespace {
 
 using rcmp::bench::BenchRecord;
+using rcmp::bench::fail;
+using rcmp::bench::wall_ns_since;
 using rcmp::core::Strategy;
 using rcmp::workloads::Scenario;
 using rcmp::workloads::ScenarioConfig;
@@ -53,13 +47,6 @@ ScenarioConfig scene_config(std::uint32_t depth) {
   return cfg;
 }
 
-double wall_ns_since(std::chrono::steady_clock::time_point start) {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
 struct SceneRun {
   bool completed = false;
   double makespan_s = 0.0;
@@ -72,36 +59,30 @@ struct SceneRun {
 };
 
 /// One scenario run, optionally with a master crash armed at journal
-/// record `crash_at` (-1 = crash-free). Simulation outputs are
-/// deterministic, so repeats only tighten the wall-time estimate:
-/// report the best of three.
+/// record `crash_at` (-1 = crash-free).
 SceneRun run_scene(std::uint32_t depth, long crash_at) {
   const auto strategy = rcmp::bench::make_strategy(Strategy::kRcmpSplit);
   SceneRun out;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    Scenario s(scene_config(depth));
-    if (crash_at >= 0) {
-      // arm_master_crash, but also stamping the simulated crash time so
-      // recovery cost can be measured from the crash, not from t=0.
-      s.journal()->arm_crash(
-          static_cast<std::uint64_t>(crash_at), [&s, &out] {
-            out.crash_at_s = s.sim().now();
-            s.sim().schedule_after(0.0, [&s] { s.crash_master(); });
-          });
-    }
-    const auto r = s.run_chaos(strategy, {});
-    const double wall = wall_ns_since(start);
-    out.wall_ns = rep == 0 ? wall : std::min(out.wall_ns, wall);
-    out.completed = r.completed;
-    if (!r.completed) return out;
-    out.makespan_s = s.sim().now();
-    out.checksum = s.final_output_checksum();
-    out.journal_records = s.journal()->size();
-    out.crashes = s.obs().metrics.counter("master.recovery.crashes");
-    out.replayed =
-        s.obs().metrics.counter("master.recovery.replayed_records");
+  const auto start = std::chrono::steady_clock::now();
+  Scenario s(scene_config(depth));
+  if (crash_at >= 0) {
+    // arm_master_crash, but also stamping the simulated crash time so
+    // recovery cost can be measured from the crash, not from t=0.
+    s.journal()->arm_crash(
+        static_cast<std::uint64_t>(crash_at), [&s, &out] {
+          out.crash_at_s = s.sim().now();
+          s.sim().schedule_after(0.0, [&s] { s.crash_master(); });
+        });
   }
+  const auto r = s.run_chaos(strategy, {});
+  out.wall_ns = wall_ns_since(start);
+  out.completed = r.completed;
+  if (!r.completed) return out;
+  out.makespan_s = s.sim().now();
+  out.checksum = s.final_output_checksum();
+  out.journal_records = s.journal()->size();
+  out.crashes = s.obs().metrics.counter("master.recovery.crashes");
+  out.replayed = s.obs().metrics.counter("master.recovery.replayed_records");
   return out;
 }
 
@@ -111,21 +92,15 @@ BenchRecord crash_point(std::uint32_t depth, const char* label,
                         SceneRun* out) {
   const SceneRun run = run_scene(depth, crash_at);
   if (!run.completed) {
-    std::fprintf(stderr, "d%u_%s: crash run did not complete\n", depth,
-                 label);
-    std::exit(1);
+    fail("d%u_%s: crash run did not complete\n", depth, label);
   }
   if (!(run.checksum == clean.checksum)) {
-    std::fprintf(stderr,
-                 "d%u_%s: output diverged from the crash-free run\n",
-                 depth, label);
-    std::exit(1);
+    fail("d%u_%s: output diverged from the crash-free run\n", depth,
+         label);
   }
   if (run.crashes != 1) {
-    std::fprintf(stderr, "d%u_%s: expected 1 recovery, saw %llu\n",
-                 depth, label,
-                 static_cast<unsigned long long>(run.crashes));
-    std::exit(1);
+    fail("d%u_%s: expected 1 recovery, saw %llu\n", depth, label,
+         static_cast<unsigned long long>(run.crashes));
   }
   const double recovery_s = run.makespan_s - run.crash_at_s;
   if (out != nullptr) *out = run;
@@ -141,53 +116,21 @@ BenchRecord crash_point(std::uint32_t depth, const char* label,
                             static_cast<double>(clean.journal_records));
   rec.counters.emplace_back("replayed",
                             static_cast<double>(run.replayed));
-  std::printf("d%u %-5s  wall %7.1f ms  clean %8.1f s  crash@ %6.1f s  "
-              "done %8.1f s  recovery %7.1f s  replayed %llu/%llu\n",
-              depth, label, rec.real_time_ns / 1e6, clean.makespan_s,
-              run.crash_at_s, run.makespan_s, recovery_s,
-              static_cast<unsigned long long>(run.replayed),
-              static_cast<unsigned long long>(clean.journal_records));
   return rec;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_out;
-  std::string baseline;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 1;
-    }
-  }
-
-  rcmp::bench::print_figure_header(
-      "BENCH recovery",
-      "Coordinator crash recovery via write-ahead journal replay on the "
-      "chaos testbed at chain depths 3/5/7: crash at the first vs last "
-      "journal boundary, recovery time = simulated time from crash to "
-      "chain completion. Outputs must stay byte-identical; late crashes "
-      "must replay more and recover faster than early ones.");
-
+std::vector<BenchRecord> rcmp::bench::run_recovery() {
   std::vector<BenchRecord> records;
   for (const std::uint32_t depth : {3u, 5u, 7u}) {
     const SceneRun clean = run_scene(depth, /*crash_at=*/-1);
     if (!clean.completed) {
-      std::fprintf(stderr, "d%u: crash-free run did not complete\n",
-                   depth);
-      return 1;
+      fail("d%u: crash-free run did not complete\n", depth);
     }
     if (clean.journal_records < 3) {
-      std::fprintf(stderr, "d%u: journal too short (%llu records)\n",
-                   depth,
-                   static_cast<unsigned long long>(
-                       clean.journal_records));
-      return 1;
+      fail("d%u: journal too short (%llu records)\n", depth,
+           static_cast<unsigned long long>(clean.journal_records));
     }
     SceneRun early, late;
     records.push_back(crash_point(depth, "early", 1, clean, &early));
@@ -198,46 +141,20 @@ int main(int argc, char** argv) {
     // Replay depth must track the crash point: a late crash has nearly
     // the whole history durable, an early one almost none of it.
     if (late.replayed <= early.replayed) {
-      std::fprintf(stderr,
-                   "d%u: late crash replayed %llu records vs %llu early "
-                   "— replay is not tracking journal length\n",
-                   depth, static_cast<unsigned long long>(late.replayed),
-                   static_cast<unsigned long long>(early.replayed));
-      return 1;
+      fail("d%u: late crash replayed %llu records vs %llu early — replay "
+           "is not tracking journal length\n",
+           depth, static_cast<unsigned long long>(late.replayed),
+           static_cast<unsigned long long>(early.replayed));
     }
     // The journal's acceptance bar: replayed decisions are not redone,
     // so the more that was durable, the faster the recovery.
     const double early_rec = early.makespan_s - early.crash_at_s;
     const double late_rec = late.makespan_s - late.crash_at_s;
     if (late_rec >= early_rec) {
-      std::fprintf(stderr,
-                   "d%u: late crash recovered in %.1f s vs %.1f s early "
-                   "— journal replay is not saving recomputation\n",
-                   depth, late_rec, early_rec);
-      return 1;
+      fail("d%u: late crash recovered in %.1f s vs %.1f s early — "
+           "journal replay is not saving recomputation\n",
+           depth, late_rec, early_rec);
     }
   }
-
-  if (!json_out.empty() &&
-      !rcmp::bench::write_bench_json(json_out, records)) {
-    std::fprintf(stderr, "failed to write %s\n", json_out.c_str());
-    return 1;
-  }
-  if (!baseline.empty()) {
-    const auto base = rcmp::bench::read_bench_json(baseline);
-    if (base.empty()) {
-      std::fprintf(stderr, "baseline %s missing or empty\n",
-                   baseline.c_str());
-      return 1;
-    }
-    // Simulated times and journal counts are seed-deterministic: gate
-    // them exactly.
-    if (rcmp::bench::count_regressions(
-            records, base, 2.0,
-            {"clean_s", "crash_at_s", "crash_s", "recovery_s",
-             "journal_records", "replayed"}) > 0) {
-      return 1;
-    }
-  }
-  return 0;
+  return records;
 }

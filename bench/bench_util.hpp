@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -130,11 +132,12 @@ inline std::vector<BenchRecord> read_bench_json(const std::string& path) {
 }
 
 /// Count benchmarks slower than `factor` times their baseline entry,
-/// plus every `exact` counter whose value differs from the baseline's
+/// every `exact` counter whose value differs from the baseline's
 /// (deterministic counts such as reallocation passes: any change is a
-/// behaviour change and needs a re-baseline). Names present only on one
-/// side are ignored, as are exact counters the baseline entry lacks.
-/// Prints one line per offence so CI logs show it.
+/// behaviour change and needs a re-baseline), and every row present on
+/// one side only (a renamed or dropped point must not go ungated).
+/// Exact counters the baseline entry lacks are ignored. Prints one line
+/// per offence so CI logs show it.
 inline int count_regressions(const std::vector<BenchRecord>& current,
                              const std::vector<BenchRecord>& baseline,
                              double factor,
@@ -146,36 +149,71 @@ inline int count_regressions(const std::vector<BenchRecord>& current,
     }
     return nullptr;
   };
+  auto find_row = [](const std::vector<BenchRecord>& rows,
+                     const std::string& name) -> const BenchRecord* {
+    for (const BenchRecord& r : rows) {
+      if (r.name == name) return &r;
+    }
+    return nullptr;
+  };
   int regressions = 0;
+  for (const BenchRecord& base : baseline) {
+    if (find_row(current, base.name) == nullptr) {
+      std::fprintf(stderr, "MISSING %s: baseline row not in this run\n",
+                   base.name.c_str());
+      ++regressions;
+    }
+  }
   for (const BenchRecord& r : current) {
-    for (const BenchRecord& base : baseline) {
-      if (base.name != r.name) continue;
-      if (base.real_time_ns > 0.0 &&
-          r.real_time_ns > factor * base.real_time_ns) {
+    const BenchRecord* base = find_row(baseline, r.name);
+    if (base == nullptr) {
+      std::fprintf(stderr, "MISSING %s: no baseline row\n", r.name.c_str());
+      ++regressions;
+      continue;
+    }
+    if (base->real_time_ns > 0.0 &&
+        r.real_time_ns > factor * base->real_time_ns) {
+      std::fprintf(stderr,
+                   "REGRESSION %s: %.0f ns/iter vs baseline %.0f "
+                   "(>%.1fx)\n",
+                   r.name.c_str(), r.real_time_ns, base->real_time_ns,
+                   factor);
+      ++regressions;
+    }
+    for (const std::string& key : exact) {
+      const double* want = find(*base, key);
+      if (want == nullptr) continue;
+      const double* got = find(r, key);
+      if (got == nullptr || *got != *want) {
         std::fprintf(stderr,
-                     "REGRESSION %s: %.0f ns/iter vs baseline %.0f "
-                     "(>%.1fx)\n",
-                     r.name.c_str(), r.real_time_ns, base.real_time_ns,
-                     factor);
+                     "MISMATCH %s %s: %.17g vs baseline %.17g (gated "
+                     "for exact equality)\n",
+                     r.name.c_str(), key.c_str(),
+                     got == nullptr ? -1.0 : *got, *want);
         ++regressions;
       }
-      for (const std::string& key : exact) {
-        const double* want = find(base, key);
-        if (want == nullptr) continue;
-        const double* got = find(r, key);
-        if (got == nullptr || *got != *want) {
-          std::fprintf(stderr,
-                       "MISMATCH %s %s: %.17g vs baseline %.17g (gated "
-                       "for exact equality)\n",
-                       r.name.c_str(), key.c_str(),
-                       got == nullptr ? -1.0 : *got, *want);
-          ++regressions;
-        }
-      }
-      break;
     }
   }
   return regressions;
+}
+
+/// Host wall-clock nanoseconds elapsed since `start`.
+inline double wall_ns_since(std::chrono::steady_clock::time_point start) {
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
+/// Print a printf-style message to stderr and exit 1: how a bench
+/// reports a missed acceptance bar or a run that did not complete.
+[[noreturn, gnu::format(printf, 1, 2)]] inline void fail(const char* fmt,
+                                                         ...) {
+  std::va_list args;
+  va_start(args, fmt);
+  std::vfprintf(stderr, fmt, args);
+  va_end(args);
+  std::exit(1);
 }
 
 /// Collect all runs of one scenario execution (for profiles/speed-ups).
