@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <ios>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,8 +21,10 @@
 
 #include "cluster/chaos.hpp"
 #include "cluster/failure_injector.hpp"
+#include "common/hash.hpp"
 #include "core/middleware.hpp"
 #include "mapred/engine.hpp"
+#include "obs/obs.hpp"
 #include "workloads/multi_scenario.hpp"
 #include "workloads/scenario.hpp"
 #include "workloads/udfs.hpp"
@@ -74,6 +79,34 @@ inline workloads::ScenarioConfig chaos_config(std::uint32_t nodes = 8,
                                        /*records_per_node=*/256);
   cfg.cluster.racks = 2;
   cfg.input_replication = 4;
+  return cfg;
+}
+
+/// A bit-exact pin on one scenario run: the makespan's exact bits plus
+/// a 64-bit FNV-1a digest of the JSONL trace and of the metrics dump.
+struct Pin {
+  double makespan;
+  std::uint64_t trace_digest;
+  std::uint64_t metrics_digest;
+};
+
+inline void expect_pin(const core::ChainResult& r, workloads::Scenario& s,
+                       const Pin& want) {
+  const double makespan = r.total_time;
+  EXPECT_EQ(std::memcmp(&makespan, &want.makespan, sizeof(double)), 0)
+      << std::hexfloat << makespan << " != " << want.makespan;
+  const std::string trace = s.obs().tracer.export_jsonl();
+  ASSERT_FALSE(trace.empty());
+  EXPECT_EQ(fnv1a(trace), want.trace_digest)
+      << std::hex << "0x" << fnv1a(trace);
+  const std::string metrics = s.obs().metrics.dump_json();
+  EXPECT_EQ(fnv1a(metrics), want.metrics_digest)
+      << std::hex << "0x" << fnv1a(metrics);
+}
+
+/// `cfg` with a trace buffer large enough for a pinned run.
+inline workloads::ScenarioConfig traced(workloads::ScenarioConfig cfg) {
+  cfg.trace_capacity = 1 << 16;
   return cfg;
 }
 

@@ -440,6 +440,35 @@ TEST(RetryJitter, JitteredRetriesAreSeedDeterministicAndCorrect) {
   EXPECT_EQ(a.checksum, plain.checksum);
 }
 
+// --- reducer retry budget (EngineConfig::max_task_attempts) -----------
+
+// A reducer spends its attempt budget. A compute fault on node 0 freezes
+// reducer 0 of the second job; detection re-queues it behind its retry
+// backoff, so the next scheduling pass defers it, and it restarts on
+// node 1. A second compute fault freezes it there, and with
+// max_task_attempts = 2 its second charge exhausts the budget, which
+// escalates to a replan. The pin holds the makespan's bits and digests
+// of the trace and metrics dump (testfx::Pin); re-capture only in a
+// change meant to move simulated behaviour.
+TEST(RetryPins, ReducerSpendsItsAttemptBudget) {
+  auto cfg = testfx::traced(chaos_config(8, 4));
+  cfg.detector.enabled = true;
+  cfg.engine.max_task_attempts = 2;
+  Scenario s(cfg);
+  FaultSchedule schedule;
+  schedule.events.push_back(FaultEvent{FaultMode::kCompute, 2, 15.5, 0});
+  schedule.events.push_back(FaultEvent{FaultMode::kCompute, 2, 47.0, 1});
+  const auto r = s.run_chaos(strat(Strategy::kRcmpSplit), schedule);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(r.replans, 1u);
+  const std::string trace = s.obs().tracer.export_jsonl();
+  const std::string reexec =
+      R"("ev":"task_reexec","kind":1,"node":1,"job":1,"i":0,)";
+  EXPECT_NE(trace.find(reexec), std::string::npos);
+  testfx::expect_pin(r, s, {0x1.195b76a62c882p+7, 0x5504cbe80c1c33a1ULL,
+                           0x95673cbaecb5fa09ULL});
+}
+
 // --- shuffle flushes and unserved sources ----------------------------
 
 /// Slot broker that grants one slot per node and kind, except that

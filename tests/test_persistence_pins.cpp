@@ -12,16 +12,9 @@
 // behaviour.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <cstring>
-#include <ios>
-#include <string>
-
 #include "cluster/chaos.hpp"
-#include "common/hash.hpp"
 #include "core/policy.hpp"
 #include "fixtures.hpp"
-#include "obs/obs.hpp"
 #include "workloads/scenario.hpp"
 
 namespace rcmp {
@@ -31,33 +24,11 @@ using cluster::FaultEvent;
 using cluster::FaultMode;
 using cluster::FaultSchedule;
 using testfx::chaos_config;
+using testfx::expect_pin;
 using testfx::fail_at;
 using testfx::strat;
+using testfx::traced;
 using workloads::Scenario;
-
-struct Pin {
-  double makespan;
-  std::uint64_t trace_digest;
-  std::uint64_t metrics_digest;
-};
-
-void expect_pin(const core::ChainResult& r, Scenario& s, const Pin& want) {
-  const double makespan = r.total_time;
-  EXPECT_EQ(std::memcmp(&makespan, &want.makespan, sizeof(double)), 0)
-      << std::hexfloat << makespan << " != " << want.makespan;
-  const std::string trace = s.obs().tracer.export_jsonl();
-  ASSERT_FALSE(trace.empty());
-  EXPECT_EQ(fnv1a(trace), want.trace_digest)
-      << std::hex << "0x" << fnv1a(trace);
-  const std::string metrics = s.obs().metrics.dump_json();
-  EXPECT_EQ(fnv1a(metrics), want.metrics_digest)
-      << std::hex << "0x" << fnv1a(metrics);
-}
-
-workloads::ScenarioConfig traced(workloads::ScenarioConfig cfg) {
-  cfg.trace_capacity = 1 << 16;
-  return cfg;
-}
 
 // (a) Static hybrid: jobs 3 and 6 are replication points, and the
 // storage below each is reclaimed once it completes. One kill lands
