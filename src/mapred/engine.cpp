@@ -147,7 +147,7 @@ void JobRun::start() {
   // per-(source node, reducer) volume.
   double total_out = 0.0;
   for (const MapTask& t : maps_) {
-    total_out += t.state == MapState::kReused
+    total_out += t.state == TaskState::kReused
                      ? t.run.out_bytes
                      : static_cast<double>(t.input_bytes) *
                            spec_.map_output_ratio;
@@ -192,7 +192,7 @@ void JobRun::bootstrap() {
   }
 
   for (std::uint32_t m = 0; m < maps_.size(); ++m) {
-    if (maps_[m].state == MapState::kReused) on_mapper_available(m);
+    if (maps_[m].state == TaskState::kReused) on_mapper_available(m);
   }
   schedule_tasks();
   on_map_phase_maybe_done();
@@ -234,7 +234,7 @@ void JobRun::build_map_tasks() {
         if (directive_.active && directive_.reuse_map_outputs &&
             map_output_reusable(key, t.input_layout_version)) {
           const MapOutput* out = env_.map_outputs.find(key);
-          t.state = MapState::kReused;
+          t.state = TaskState::kReused;
           t.run.node = out->node;
           t.run.out_bytes = out->total_bytes;
           if (env_.obs != nullptr) {
@@ -252,7 +252,7 @@ void JobRun::build_map_tasks() {
   }
   pending_maps_.clear();
   for (std::uint32_t m = 0; m < maps_.size(); ++m) {
-    if (maps_[m].state == MapState::kPending) pending_maps_.push_back(m);
+    if (maps_[m].state == TaskState::kPending) pending_maps_.push_back(m);
   }
   RCMP_CHECK_MSG(!maps_.empty(), "job has no input blocks");
 }
@@ -309,29 +309,33 @@ void JobRun::schedule_tasks() {
   publish_demand();
 }
 
-void JobRun::schedule_maps() {
-  if (pending_maps_.empty()) return;
-
-  // Detector mode: tasks under a retry-backoff gate sit out this pass;
-  // one poke event re-runs scheduling at the earliest gate expiry.
+std::vector<std::uint32_t> JobRun::defer_backed_off(
+    SlotKind kind, std::vector<std::uint32_t>& pending) {
   std::vector<std::uint32_t> deferred;
-  if (env_.detector != nullptr) {
-    SimTime wake = std::numeric_limits<double>::max();
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < pending_maps_.size(); ++i) {
-      const std::uint32_t m = pending_maps_[i];
-      if (maps_[m].not_before > env_.sim.now()) {
-        deferred.push_back(m);
-        wake = std::min(wake, maps_[m].not_before);
-      } else {
-        pending_maps_[w++] = m;
-      }
-    }
-    if (!deferred.empty()) {
-      pending_maps_.resize(w);
-      arm_retry_poke(wake);
+  if (env_.detector == nullptr) return deferred;
+  SimTime wake = std::numeric_limits<double>::max();
+  std::size_t w = 0;
+  for (std::size_t k = 0; k < pending.size(); ++k) {
+    const std::uint32_t i = pending[k];
+    const SimTime gate = task(kind, i).not_before;
+    if (gate > env_.sim.now()) {
+      deferred.push_back(i);
+      wake = std::min(wake, gate);
+    } else {
+      pending[w++] = i;
     }
   }
+  if (!deferred.empty()) {
+    pending.resize(w);
+    arm_retry_poke(wake);
+  }
+  return deferred;
+}
+
+void JobRun::schedule_maps() {
+  if (pending_maps_.empty()) return;
+  const std::vector<std::uint32_t> deferred =
+      defer_backed_off(SlotKind::kMap, pending_maps_);
 
   // Locality pass: give every node with free map slots its local blocks
   // first (with even data distribution this keeps initial runs fully
@@ -344,7 +348,7 @@ void JobRun::schedule_maps() {
       const std::uint32_t m = pending_maps_[i];
       const auto& reps = env_.dfs.block(maps_[m].block_id).replicas;
       if (std::find(reps.begin(), reps.end(), n) != reps.end()) {
-        assign_map(m, n);
+        assign_task(SlotKind::kMap, m, n);
         pending_maps_[i] = pending_maps_.back();
         pending_maps_.pop_back();
       } else {
@@ -362,7 +366,7 @@ void JobRun::schedule_maps() {
     if (target == cluster::kInvalidNode) break;
     const std::uint32_t m = pending_maps_.back();
     pending_maps_.pop_back();
-    assign_map(m, target);
+    assign_task(SlotKind::kMap, m, target);
   }
 
   pending_maps_.insert(pending_maps_.end(), deferred.begin(),
@@ -370,30 +374,13 @@ void JobRun::schedule_maps() {
 }
 
 void JobRun::schedule_reduces() {
-  std::vector<std::uint32_t> deferred;
-  if (env_.detector != nullptr && !pending_reduces_.empty()) {
-    SimTime wake = std::numeric_limits<double>::max();
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < pending_reduces_.size(); ++i) {
-      const std::uint32_t r = pending_reduces_[i];
-      if (reduces_[r].not_before > env_.sim.now()) {
-        deferred.push_back(r);
-        wake = std::min(wake, reduces_[r].not_before);
-      } else {
-        pending_reduces_[w++] = r;
-      }
-    }
-    if (!deferred.empty()) {
-      pending_reduces_.resize(w);
-      arm_retry_poke(wake);
-    }
-  }
-
+  const std::vector<std::uint32_t> deferred =
+      defer_backed_off(SlotKind::kReduce, pending_reduces_);
   std::size_t head = 0;
   while (head < pending_reduces_.size()) {
     const cluster::NodeId target = next_free_slot(SlotKind::kReduce);
     if (target == cluster::kInvalidNode) break;
-    assign_reduce(pending_reduces_[head], target);
+    assign_task(SlotKind::kReduce, pending_reduces_[head], target);
     ++head;
   }
   pending_reduces_.erase(pending_reduces_.begin(),
@@ -403,54 +390,47 @@ void JobRun::schedule_reduces() {
                           deferred.end());
 }
 
-void JobRun::assign_map(std::uint32_t m, cluster::NodeId n) {
-  MapTask& t = maps_[m];
-  RCMP_CHECK(t.state == MapState::kPending);
-  t.run = open_attempt(SlotKind::kMap, n);
-  t.state = MapState::kRunning;
+void JobRun::assign_task(SlotKind kind, std::uint32_t i, cluster::NodeId n) {
+  Task& t = task(kind, i);
+  RCMP_CHECK(t.state == TaskState::kPending);
+  t.run = launch_attempt(kind, i, n);
+  t.state = TaskState::kRunning;
   t.start_time = env_.sim.now();
   if (env_.obs != nullptr) {
-    env_.obs->tracer.emit(env_.sim.now(), obs::EventType::kTaskStart,
-                          obs::kKindMap, n, spec_.logical_id, m, 0.0,
-                          env_.chain_tag);
+    env_.obs->tracer.emit(
+        env_.sim.now(), obs::EventType::kTaskStart,
+        kind == SlotKind::kMap ? obs::kKindMap : obs::kKindReduce, n,
+        spec_.logical_id, i, 0.0, env_.chain_tag);
   }
-  const std::uint32_t id = t.run.id;
-  t.run.ev = env_.sim.schedule_after(
-      cfg_.startup_cost(), [this, m, id] { map_startup_done(m, id); });
-}
-
-void JobRun::assign_reduce(std::uint32_t r, cluster::NodeId n) {
-  ReduceTask& rt = reduces_[r];
-  RCMP_CHECK(rt.state == ReduceState::kUnassigned);
-  take_slot(SlotKind::kReduce, n);
-  rt.node = n;
-  rt.state = ReduceState::kStarting;
-  rt.start_time = env_.sim.now();
-  if (env_.obs != nullptr) {
-    env_.obs->tracer.emit(env_.sim.now(), obs::EventType::kTaskStart,
-                          obs::kKindReduce, n, spec_.logical_id, r, 0.0,
-                          env_.chain_tag);
-  }
-  const std::uint32_t epoch = rt.epoch;
-  rt.ev = env_.sim.schedule_after(cfg_.startup_cost(), [this, r, epoch] {
-    reduce_startup_done(r, epoch);
-  });
 }
 
 // ---------------------------------------------------------------------
 // attempts
 // ---------------------------------------------------------------------
 
-JobRun::Attempt JobRun::open_attempt(SlotKind kind, cluster::NodeId n) {
+JobRun::Task& JobRun::task(SlotKind kind, std::uint32_t i) {
+  if (kind == SlotKind::kMap) return maps_[i];
+  return reduces_[i];
+}
+
+JobRun::Attempt JobRun::launch_attempt(SlotKind kind, std::uint32_t i,
+                                       cluster::NodeId n) {
   take_slot(kind, n);
   Attempt a;
   a.id = next_attempt_id_++;
   a.node = n;
+  const std::uint32_t id = a.id;
+  a.ev = env_.sim.schedule_after(cfg_.startup_cost(), [this, kind, i, id] {
+    if (kind == SlotKind::kMap) {
+      map_startup_done(i, id);
+    } else {
+      reduce_startup_done(i, id);
+    }
+  });
   return a;
 }
 
-JobRun::Attempt* JobRun::find_attempt(std::uint32_t m, std::uint32_t id) {
-  MapTask& t = maps_[m];
+JobRun::Attempt* JobRun::find_attempt(Task& t, std::uint32_t id) {
   if (state_ != RunState::kRunning) return nullptr;
   if (t.run.id == id) return &t.run;
   if (t.backup != nullptr && t.backup->id == id) return t.backup.get();
@@ -466,6 +446,8 @@ void JobRun::cancel_attempt_work(Attempt& a) {
     env_.net.cancel_flow(a.flow);
     a.flow = res::kInvalidFlow;
   }
+  for (res::FlowId f : a.write_flows) env_.net.cancel_flow(f);
+  a.write_flows.clear();
   a.buckets.clear();
 }
 
@@ -508,7 +490,7 @@ cluster::NodeId JobRun::pick_read_source(
 }
 
 void JobRun::map_startup_done(std::uint32_t m, std::uint32_t id) {
-  Attempt* a = find_attempt(m, id);
+  Attempt* a = find_attempt(maps_[m], id);
   if (a == nullptr) return;
   RCMP_CHECK(a->phase == Phase::kStarting);
   a->ev = sim::kInvalidEvent;
@@ -527,7 +509,7 @@ void JobRun::start_map_read(std::uint32_t m, Attempt& a) {
     // Input replica vanished between assignment and now; the Master has
     // not yet detected the failure. Freeze — the detection handler will
     // report the data loss.
-    t.state = MapState::kFrozen;
+    t.state = TaskState::kFrozen;
     a.read_src = cluster::kInvalidNode;
     return;
   }
@@ -568,7 +550,7 @@ void JobRun::start_map_read(std::uint32_t m, Attempt& a) {
 }
 
 void JobRun::map_read_done(std::uint32_t m, std::uint32_t id) {
-  Attempt* a = find_attempt(m, id);
+  Attempt* a = find_attempt(maps_[m], id);
   if (a == nullptr) return;
   RCMP_CHECK(a->phase == Phase::kReading);
   a->flow = res::kInvalidFlow;
@@ -585,7 +567,7 @@ void JobRun::map_read_done(std::uint32_t m, std::uint32_t id) {
 }
 
 void JobRun::map_compute_done(std::uint32_t m, std::uint32_t id) {
-  Attempt* a = find_attempt(m, id);
+  Attempt* a = find_attempt(maps_[m], id);
   if (a == nullptr) return;
   RCMP_CHECK(a->phase == Phase::kComputing);
   a->ev = sim::kInvalidEvent;
@@ -642,7 +624,7 @@ void JobRun::run_map_udf(std::uint32_t m, MapOutput& out) const {
 }
 
 void JobRun::map_write_done(std::uint32_t m, std::uint32_t id) {
-  Attempt* a = find_attempt(m, id);
+  Attempt* a = find_attempt(maps_[m], id);
   if (a == nullptr) return;
   RCMP_CHECK(a->phase == Phase::kWriting);
   a->flow = res::kInvalidFlow;
@@ -650,7 +632,7 @@ void JobRun::map_write_done(std::uint32_t m, std::uint32_t id) {
   if (a != &t.run) {
     // The backup won the race: stop the straggling running attempt,
     // return its slot, and continue in the backup's slot and node.
-    RCMP_CHECK(t.state == MapState::kRunning &&
+    RCMP_CHECK(t.state == TaskState::kRunning &&
                t.run.phase != Phase::kStarting);
     cancel_attempt_work(t.run);
     put_slot(SlotKind::kMap, t.run.node);
@@ -665,7 +647,7 @@ void JobRun::complete_map_task(std::uint32_t m) {
   MapTask& t = maps_[m];
   drop_backup(t.backup, SlotKind::kMap);  // the running attempt won
   register_map_output(m);
-  t.state = MapState::kDone;
+  t.state = TaskState::kDone;
   t.end_time = env_.sim.now();
   t.executed = true;
   t.spurious = false;  // a committed replacement supersedes the old copy
@@ -714,10 +696,10 @@ void JobRun::register_map_output(std::uint32_t m) {
 void JobRun::on_mapper_available(std::uint32_t m) {
   for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
     ReduceTask& rt = reduces_[r];
-    if (rt.state == ReduceState::kDone) continue;
+    if (rt.state == TaskState::kDone) continue;
     if (rt.contrib[m] != ContribState::kWaiting) continue;
     mark_contrib_ready(r, m);
-    if (rt.state == ReduceState::kFetching) flush_ready(r, /*force=*/false);
+    if (rt.in(Phase::kReading)) flush_ready(r, /*force=*/false);
   }
 }
 
@@ -730,13 +712,13 @@ void JobRun::reset_map_task(std::uint32_t m) {
                           0.0, env_.chain_tag);
   }
   const bool was_available =
-      t.state == MapState::kDone || t.state == MapState::kReused;
+      t.state == TaskState::kDone || t.state == TaskState::kReused;
   cancel_attempt_work(t.run);
   if (was_available) {
     const MapOutput* out = env_.map_outputs.find(t.key(spec_.logical_id));
     const bool intact = out != nullptr && !out->lost &&
                         env_.cluster.storage_alive(out->node);
-    if (t.state == MapState::kDone && !intact) {
+    if (t.state == TaskState::kDone && !intact) {
       // Drop the (lost) registered output so a fresh one replaces it.
       env_.map_outputs.drop(t.key(spec_.logical_id));
     }
@@ -747,9 +729,8 @@ void JobRun::reset_map_task(std::uint32_t m) {
     if (intact) t.spurious = true;
   }
   if (was_available) ++maps_remaining_;
-  if (!charge_attempt(t.attempts, t.not_before))
-    exhausted_retry_budget_ = true;
-  t.state = MapState::kPending;
+  charge_attempt(t);
+  t.state = TaskState::kPending;
   t.run = Attempt{};  // the retry opens a fresh attempt
   pending_maps_.push_back(m);
 }
@@ -777,16 +758,14 @@ void JobRun::speculation_check() {
 
   for (std::uint32_t m = 0; m < maps_.size(); ++m) {
     MapTask& t = maps_[m];
-    if (t.state != MapState::kRunning || t.run.phase == Phase::kStarting)
+    if (t.state != TaskState::kRunning || t.run.phase == Phase::kStarting)
       continue;
     if (env_.sim.now() - t.start_time <= threshold) continue;
     if (t.backup != nullptr) continue;
     const cluster::NodeId target = next_free_slot(SlotKind::kMap, t.run.node);
     if (target == cluster::kInvalidNode) continue;
-    t.backup = std::make_unique<Attempt>(open_attempt(SlotKind::kMap, target));
-    const std::uint32_t id = t.backup->id;
-    t.backup->ev = env_.sim.schedule_after(
-        cfg_.startup_cost(), [this, m, id] { map_startup_done(m, id); });
+    t.backup = std::make_unique<Attempt>(
+        launch_attempt(SlotKind::kMap, m, target));
     ++result_.speculative_launched;
   }
 }
@@ -803,7 +782,7 @@ void JobRun::speculate_reducers() {
 
   for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
     ReduceTask& rt = reduces_[r];
-    if (rt.state != ReduceState::kComputing) continue;
+    if (!rt.in(Phase::kComputing)) continue;
     if (env_.sim.now() - rt.start_time <= threshold) continue;
     if (rt.backup != nullptr) continue;
     if (env_.reduce_spec_gate) {
@@ -815,70 +794,13 @@ void JobRun::speculate_reducers() {
       cand.startup_cost = cfg_.startup_cost();
       if (!env_.reduce_spec_gate(cand)) continue;
     }
-    const cluster::NodeId target = next_free_slot(SlotKind::kReduce, rt.node);
+    const cluster::NodeId target =
+        next_free_slot(SlotKind::kReduce, rt.run.node);
     if (target == cluster::kInvalidNode) continue;
-    rt.backup =
-        std::make_unique<Attempt>(open_attempt(SlotKind::kReduce, target));
-    const std::uint32_t id = rt.backup->id;
-    rt.backup->ev = env_.sim.schedule_after(
-        cfg_.startup_cost(), [this, r, id] { reduce_backup_step(r, id); });
+    rt.backup = std::make_unique<Attempt>(
+        launch_attempt(SlotKind::kReduce, r, target));
     ++result_.speculative_launched;
   }
-}
-
-void JobRun::reduce_backup_step(std::uint32_t r, std::uint32_t id) {
-  ReduceTask& rt = reduces_[r];
-  if (state_ != RunState::kRunning || rt.backup == nullptr ||
-      rt.backup->id != id)
-    return;
-  Attempt& b = *rt.backup;
-  b.ev = sim::kInvalidEvent;
-  b.flow = res::kInvalidFlow;
-  if (b.phase == Phase::kComputing) {
-    // The backup finished its compute first: stop the straggling running
-    // attempt, return its slot, and write the output from the backup's
-    // node, in the backup's slot.
-    RCMP_CHECK(rt.state == ReduceState::kComputing);
-    if (rt.ev != sim::kInvalidEvent) {
-      env_.sim.cancel(rt.ev);
-      rt.ev = sim::kInvalidEvent;
-    }
-    put_slot(SlotKind::kReduce, rt.node);
-    rt.node = b.node;
-    rt.backup.reset();
-    ++result_.speculative_won;
-    finish_reduce_compute(r);
-    return;
-  }
-  if (rt.state != ReduceState::kComputing) {
-    drop_backup(rt.backup, SlotKind::kReduce);
-    return;
-  }
-  if (b.phase == Phase::kStarting) {
-    // Re-pull the already-shuffled bytes from the running attempt's
-    // staging area (its local disk, or its RAM when the job shuffles in
-    // memory).
-    b.phase = Phase::kReading;
-    res::FlowSpec fs;
-    auto path = env_.cluster.path_transfer(rt.node, b.node,
-                                           /*read_src=*/true,
-                                           /*write_dst=*/true,
-                                           map_output_tier(),
-                                           map_output_tier());
-    fs.path = std::move(path.links);
-    fs.weights = std::move(path.weights);
-    fs.bytes = round_bytes(rt.fetched_bytes);
-    fs.on_complete = [this, r, id] { reduce_backup_step(r, id); };
-    b.flow = env_.net.start_flow(std::move(fs));
-    return;
-  }
-  // Pulled. No tail debt: the per-segment fetch latency was paid once by
-  // the running attempt; the backup streams one consolidated spill file.
-  b.phase = Phase::kComputing;
-  const SimTime dt = rt.fetched_bytes / cfg_.reduce_cpu_rate *
-                     env_.cluster.cpu_factor(b.node);
-  b.ev = env_.sim.schedule_after(
-      dt, [this, r, id] { reduce_backup_step(r, id); });
 }
 
 void JobRun::on_map_phase_maybe_done() {
@@ -923,7 +845,7 @@ void JobRun::mark_contrib_ready(std::uint32_t r, std::uint32_t m) {
 
 void JobRun::flush_ready(std::uint32_t r, bool force) {
   ReduceTask& rt = reduces_[r];
-  RCMP_CHECK(rt.state == ReduceState::kFetching);
+  RCMP_CHECK(rt.in(Phase::kReading));
   if (force) {
     for (cluster::NodeId src = 0; src < env_.cluster.size(); ++src) {
       // Zero-byte contributions (empty payload buckets) still need a
@@ -958,7 +880,7 @@ void JobRun::start_fetch(std::uint32_t r, cluster::NodeId src) {
   ReduceTask& rt = reduces_[r];
   FetchFlow ff;
   ff.reducer = r;
-  ff.reducer_epoch = rt.epoch;
+  ff.attempt = rt.run.id;
   ff.src = src;
   ff.mappers = std::move(rt.ready[src]);
   ff.bytes = rt.ready_bytes[src];
@@ -987,7 +909,7 @@ void JobRun::start_fetch(std::uint32_t r, cluster::NodeId src) {
   }
   const std::uint64_t token = next_fetch_token_++;
   res::FlowSpec fs;
-  auto path = env_.cluster.path_transfer(src, rt.node,
+  auto path = env_.cluster.path_transfer(src, rt.run.node,
                                          /*read_src=*/true,
                                          /*write_dst=*/true, src_tier,
                                          map_output_tier());
@@ -1001,8 +923,7 @@ void JobRun::start_fetch(std::uint32_t r, cluster::NodeId src) {
 
 void JobRun::flush_all_ready(bool force) {
   for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
-    if (reduces_[r].state == ReduceState::kFetching)
-      flush_ready(r, force);
+    if (reduces_[r].in(Phase::kReading)) flush_ready(r, force);
   }
 }
 
@@ -1014,8 +935,8 @@ void JobRun::fetch_done(std::uint64_t token) {
   if (state_ != RunState::kRunning) return;
 
   ReduceTask& rt = reduces_[ff.reducer];
-  if (rt.epoch != ff.reducer_epoch) return;
-  RCMP_CHECK(rt.state == ReduceState::kFetching);
+  if (rt.run.id != ff.attempt) return;
+  RCMP_CHECK(rt.in(Phase::kReading));
 
   if (env_.obs != nullptr) {
     env_.obs->tracer.emit(env_.sim.now(), obs::EventType::kShuffleFetch, 0,
@@ -1098,37 +1019,85 @@ void JobRun::cancel_fetches_of_reducer(std::uint32_t r) {
 // reduce task state machine
 // ---------------------------------------------------------------------
 
-void JobRun::reduce_startup_done(std::uint32_t r, std::uint32_t epoch) {
+void JobRun::reduce_startup_done(std::uint32_t r, std::uint32_t id) {
+  Attempt* a = find_attempt(reduces_[r], id);
+  if (a == nullptr) return;
+  RCMP_CHECK(a->phase == Phase::kStarting);
+  a->ev = sim::kInvalidEvent;
+  a->phase = Phase::kReading;
   ReduceTask& rt = reduces_[r];
-  if (state_ != RunState::kRunning || rt.epoch != epoch) return;
-  RCMP_CHECK(rt.state == ReduceState::kStarting);
-  rt.ev = sim::kInvalidEvent;
-  rt.state = ReduceState::kFetching;
-  // Late-wave reducers find all map outputs ready: fetch them at once.
-  flush_ready(r, /*force=*/true);
-  maybe_start_reduce_compute(r);
+  if (a == &rt.run) {
+    // Late-wave reducers find all map outputs ready: fetch them at once.
+    flush_ready(r, /*force=*/true);
+    maybe_start_reduce_compute(r);
+    return;
+  }
+  // A backup re-pulls the already-shuffled bytes from the running
+  // attempt's staging area (its local disk, or its RAM when the job
+  // shuffles in memory). Every way out of the running attempt's compute
+  // drops the backup.
+  RCMP_CHECK(rt.in(Phase::kComputing));
+  res::FlowSpec fs;
+  auto path = env_.cluster.path_transfer(rt.run.node, a->node,
+                                         /*read_src=*/true,
+                                         /*write_dst=*/true,
+                                         map_output_tier(),
+                                         map_output_tier());
+  fs.path = std::move(path.links);
+  fs.weights = std::move(path.weights);
+  fs.bytes = round_bytes(rt.fetched_bytes);
+  fs.on_complete = [this, r, id] { reduce_pull_done(r, id); };
+  a->flow = env_.net.start_flow(std::move(fs));
+}
+
+void JobRun::reduce_pull_done(std::uint32_t r, std::uint32_t id) {
+  Attempt* a = find_attempt(reduces_[r], id);
+  if (a == nullptr) return;
+  RCMP_CHECK(a->phase == Phase::kReading);
+  a->flow = res::kInvalidFlow;
+  RCMP_CHECK(reduces_[r].in(Phase::kComputing));
+  // No tail debt: the per-segment fetch latency was paid once by the
+  // running attempt; the backup streams one consolidated spill file.
+  start_reduce_compute(r, *a, 0.0);
 }
 
 void JobRun::maybe_start_reduce_compute(std::uint32_t r) {
   ReduceTask& rt = reduces_[r];
-  if (rt.state != ReduceState::kFetching || rt.unfetched != 0) return;
-  rt.state = ReduceState::kComputing;
+  if (!rt.in(Phase::kReading) || rt.unfetched != 0) return;
   // Shuffle is complete for this reducer: map-output + DFS usage is at a
   // local peak, which boundary-only sampling used to miss (§IV-C).
   if (env_.obs != nullptr) env_.obs->sample_storage();
-  const SimTime dt = rt.fetched_bytes / cfg_.reduce_cpu_rate *
-                         env_.cluster.cpu_factor(rt.node) +
-                     rt.tail_debt;
-  const std::uint32_t epoch = rt.epoch;
-  rt.ev = env_.sim.schedule_after(
-      dt, [this, r, epoch] { reduce_compute_done(r, epoch); });
+  start_reduce_compute(r, rt.run, rt.tail_debt);
 }
 
-void JobRun::reduce_compute_done(std::uint32_t r, std::uint32_t epoch) {
+void JobRun::start_reduce_compute(std::uint32_t r, Attempt& a,
+                                  SimTime tail) {
+  a.phase = Phase::kComputing;
+  const SimTime dt = reduces_[r].fetched_bytes / cfg_.reduce_cpu_rate *
+                         env_.cluster.cpu_factor(a.node) +
+                     tail;
+  const std::uint32_t id = a.id;
+  a.ev = env_.sim.schedule_after(
+      dt, [this, r, id] { reduce_compute_done(r, id); });
+}
+
+void JobRun::reduce_compute_done(std::uint32_t r, std::uint32_t id) {
+  Attempt* a = find_attempt(reduces_[r], id);
+  if (a == nullptr) return;
+  RCMP_CHECK(a->phase == Phase::kComputing);
+  a->ev = sim::kInvalidEvent;
   ReduceTask& rt = reduces_[r];
-  if (state_ != RunState::kRunning || rt.epoch != epoch) return;
-  RCMP_CHECK(rt.state == ReduceState::kComputing);
-  rt.ev = sim::kInvalidEvent;
+  if (a != &rt.run) {
+    // The backup won the race: stop the straggling running attempt,
+    // return its slot, and write the output from the backup's node, in
+    // the backup's slot.
+    RCMP_CHECK(rt.in(Phase::kComputing));
+    cancel_attempt_work(rt.run);
+    put_slot(SlotKind::kReduce, rt.run.node);
+    rt.run = std::move(*rt.backup);
+    rt.backup.reset();
+    ++result_.speculative_won;
+  }
   drop_backup(rt.backup, SlotKind::kReduce);  // the running attempt won
   finish_reduce_compute(r);
 }
@@ -1144,36 +1113,36 @@ void JobRun::finish_reduce_compute(std::uint32_t r) {
     rt.out_records = std::move(em.records());
     rt.gathered.clear();
     rt.gathered.shrink_to_fit();
-    rt.out_bytes = static_cast<double>(rt.out_records.size()) *
-                   static_cast<double>(cfg_.record_bytes);
+    rt.run.out_bytes = static_cast<double>(rt.out_records.size()) *
+                       static_cast<double>(cfg_.record_bytes);
   } else {
-    rt.out_bytes = rt.fetched_bytes * spec_.reduce_output_ratio;
+    rt.run.out_bytes = rt.fetched_bytes * spec_.reduce_output_ratio;
   }
   start_reduce_write(r);
 }
 
 void JobRun::start_reduce_write(std::uint32_t r) {
   ReduceTask& rt = reduces_[r];
-  rt.state = ReduceState::kWriting;
+  rt.run.phase = Phase::kWriting;
   if (env_.cluster.alive_storage_nodes().empty()) {
     // Nowhere to put the output. Stall instead of asserting inside
     // plan_write; failure detection (or a rejoin) unblocks or aborts.
     rt.write_blocked = true;
     return;
   }
-  rt.planned = env_.dfs.plan_write(spec_.output, rt.node,
-                                   round_bytes(rt.out_bytes),
+  rt.planned = env_.dfs.plan_write(spec_.output, rt.run.node,
+                                   round_bytes(rt.run.out_bytes),
                                    spec_.output_placement);
   rt.next_block = 0;
   rt.outstanding_writes = 0;
-  rt.write_flows.clear();
-  write_next_block(r, rt.epoch);
+  rt.run.write_flows.clear();
+  write_next_block(r, rt.run.id);
 }
 
-void JobRun::write_next_block(std::uint32_t r, std::uint32_t epoch) {
+void JobRun::write_next_block(std::uint32_t r, std::uint32_t id) {
   ReduceTask& rt = reduces_[r];
-  if (state_ != RunState::kRunning || rt.epoch != epoch) return;
-  RCMP_CHECK(rt.state == ReduceState::kWriting);
+  if (find_attempt(rt, id) != &rt.run) return;
+  RCMP_CHECK(rt.in(Phase::kWriting));
 
   if (rt.next_block >= rt.planned.size()) {
     // All blocks written (possibly zero): commit.
@@ -1190,18 +1159,18 @@ void JobRun::write_next_block(std::uint32_t r, std::uint32_t epoch) {
                   rt.partition) == partitions_committed_.end()) {
       partitions_committed_.push_back(rt.partition);
     }
-    result_.output_bytes += rt.out_bytes;
+    result_.output_bytes += rt.run.out_bytes;
     reduce_done(r);
     return;
   }
 
   // Replication pipeline for one block: all replica streams concurrent.
   const auto& block = rt.planned[rt.next_block];
-  rt.write_flows.clear();
+  rt.run.write_flows.clear();
   rt.outstanding_writes = static_cast<std::uint32_t>(block.replicas.size());
   for (cluster::NodeId rep : block.replicas) {
     res::FlowSpec fs;
-    auto path = env_.cluster.path_transfer(rt.node, rep,
+    auto path = env_.cluster.path_transfer(rt.run.node, rep,
                                            /*read_src=*/false,
                                            /*write_dst=*/true,
                                            cluster::StorageTier::kDisk,
@@ -1209,30 +1178,30 @@ void JobRun::write_next_block(std::uint32_t r, std::uint32_t epoch) {
     fs.path = std::move(path.links);
     fs.weights = std::move(path.weights);
     fs.bytes = block.size;
-    fs.on_complete = [this, r, epoch] { block_write_done(r, epoch); };
-    rt.write_flows.push_back(env_.net.start_flow(std::move(fs)));
+    fs.on_complete = [this, r, id] { block_write_done(r, id); };
+    rt.run.write_flows.push_back(env_.net.start_flow(std::move(fs)));
   }
 }
 
-void JobRun::block_write_done(std::uint32_t r, std::uint32_t epoch) {
+void JobRun::block_write_done(std::uint32_t r, std::uint32_t id) {
   ReduceTask& rt = reduces_[r];
-  if (state_ != RunState::kRunning || rt.epoch != epoch) return;
-  if (rt.state != ReduceState::kWriting || rt.write_blocked) return;
+  if (find_attempt(rt, id) != &rt.run) return;
+  if (!rt.in(Phase::kWriting) || rt.write_blocked) return;
   RCMP_CHECK(rt.outstanding_writes > 0);
   --rt.outstanding_writes;
   if (rt.outstanding_writes == 0) {
     ++rt.next_block;
-    write_next_block(r, epoch);
+    write_next_block(r, id);
   }
 }
 
 void JobRun::reduce_done(std::uint32_t r) {
   ReduceTask& rt = reduces_[r];
-  rt.state = ReduceState::kDone;
+  rt.state = TaskState::kDone;
   rt.end_time = env_.sim.now();
   if (env_.obs != nullptr) {
     env_.obs->tracer.emit(rt.end_time, obs::EventType::kTaskFinish,
-                          obs::kKindReduce, rt.node, spec_.logical_id, r,
+                          obs::kKindReduce, rt.run.node, spec_.logical_id, r,
                           rt.end_time - rt.start_time, env_.chain_tag);
   }
   ++result_.reducers_executed;
@@ -1240,7 +1209,7 @@ void JobRun::reduce_done(std::uint32_t r) {
   ++completed_reduce_count_;
   RCMP_CHECK(reduces_remaining_ > 0);
   --reduces_remaining_;
-  put_slot(SlotKind::kReduce, rt.node);
+  put_slot(SlotKind::kReduce, rt.run.node);
   schedule_tasks();
   maybe_finish();
 }
@@ -1248,17 +1217,16 @@ void JobRun::reduce_done(std::uint32_t r) {
 void JobRun::reset_reduce_task(std::uint32_t r) {
   ReduceTask& rt = reduces_[r];
   drop_backup(rt.backup, SlotKind::kReduce);
-  RCMP_CHECK(rt.state != ReduceState::kDone);
+  RCMP_CHECK(rt.state != TaskState::kDone);
   if (env_.obs != nullptr) {
     env_.obs->tracer.emit(env_.sim.now(), obs::EventType::kTaskReexec,
-                          obs::kKindReduce, rt.node, spec_.logical_id, r,
-                          0.0, env_.chain_tag);
+                          obs::kKindReduce, rt.run.node, spec_.logical_id,
+                          r, 0.0, env_.chain_tag);
   }
-  cancel_task_work(rt);
+  cancel_attempt_work(rt.run);
   cancel_fetches_of_reducer(r);
-  ++rt.epoch;
-  rt.state = ReduceState::kUnassigned;
-  rt.node = cluster::kInvalidNode;
+  rt.state = TaskState::kPending;
+  rt.run = Attempt{};  // the retry opens a fresh attempt
   rt.fetched_bytes = 0.0;
   rt.tail_debt = 0.0;
   rt.gathered.clear();
@@ -1275,12 +1243,11 @@ void JobRun::reset_reduce_task(std::uint32_t r) {
   // Re-buffer contributions from mappers whose outputs are available.
   for (std::uint32_t m = 0; m < maps_.size(); ++m) {
     const MapTask& t = maps_[m];
-    if (t.state == MapState::kDone || t.state == MapState::kReused) {
+    if (t.state == TaskState::kDone || t.state == TaskState::kReused) {
       mark_contrib_ready(r, m);
     }
   }
-  if (!charge_attempt(rt.attempts, rt.not_before))
-    exhausted_retry_budget_ = true;
+  charge_attempt(rt);
   pending_reduces_.push_back(r);
 }
 
@@ -1313,28 +1280,18 @@ void JobRun::freeze_tasks_on(cluster::NodeId n, bool suspected) {
   // for a suspicion: hand each frozen task's slot back explicitly
   // (may_acquire's detector gate keeps it off node n).
   const bool release = suspected && env_.slots != nullptr;
-  for (auto& t : maps_) {
-    if (t.run.node == n && t.state == MapState::kRunning) {
-      cancel_attempt_work(t.run);
-      t.state = MapState::kFrozen;
-      if (release) env_.slots->release(n, SlotKind::kMap);
-      blame_node(n);
-    }
-  }
-  for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
-    ReduceTask& rt = reduces_[r];
-    if (rt.node == n &&
-        (rt.state == ReduceState::kStarting ||
-         rt.state == ReduceState::kFetching ||
-         rt.state == ReduceState::kComputing ||
-         rt.state == ReduceState::kWriting)) {
-      cancel_task_work(rt);
-      cancel_fetches_of_reducer(r);
-      rt.state = ReduceState::kFrozen;
-      if (release) env_.slots->release(n, SlotKind::kReduce);
-      blame_node(n);
-    }
-  }
+  auto freeze = [&](SlotKind kind, std::uint32_t i) {
+    Task& t = task(kind, i);
+    if (t.run.node != n || t.state != TaskState::kRunning) return;
+    cancel_attempt_work(t.run);
+    if (kind == SlotKind::kReduce) cancel_fetches_of_reducer(i);
+    t.state = TaskState::kFrozen;
+    if (release) env_.slots->release(n, kind);
+    blame_node(n);
+  };
+  for (std::uint32_t m = 0; m < maps_.size(); ++m) freeze(SlotKind::kMap, m);
+  for (std::uint32_t r = 0; r < reduces_.size(); ++r)
+    freeze(SlotKind::kReduce, r);
 }
 
 void JobRun::on_disk_failed(cluster::NodeId n) {
@@ -1348,12 +1305,12 @@ void JobRun::on_disk_failed(cluster::NodeId n) {
   // Output writes with a replica stream to the dead node stall until
   // the Master replans them at detection time.
   for (auto& rt : reduces_) {
-    if (rt.state != ReduceState::kWriting || rt.write_blocked) continue;
+    if (!rt.in(Phase::kWriting) || rt.write_blocked) continue;
     if (rt.next_block >= rt.planned.size()) continue;
     const auto& reps = rt.planned[rt.next_block].replicas;
     if (std::find(reps.begin(), reps.end(), n) != reps.end()) {
-      for (res::FlowId f : rt.write_flows) env_.net.cancel_flow(f);
-      rt.write_flows.clear();
+      for (res::FlowId f : rt.run.write_flows) env_.net.cancel_flow(f);
+      rt.run.write_flows.clear();
       rt.write_blocked = true;
     }
   }
@@ -1370,7 +1327,7 @@ void JobRun::on_node_recovered(cluster::NodeId n) {
   // against the rejoined disk.
   for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
     ReduceTask& rt = reduces_[r];
-    if (rt.write_blocked && rt.state == ReduceState::kWriting) {
+    if (rt.write_blocked && rt.in(Phase::kWriting)) {
       rt.write_blocked = false;
       start_reduce_write(r);
     }
@@ -1384,14 +1341,14 @@ JobRun::FailureOutcome JobRun::on_detected_failure(cluster::NodeId n) {
 
   // 1) Restart frozen reducers from scratch on surviving nodes.
   for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
-    if (reduces_[r].state == ReduceState::kFrozen) reset_reduce_task(r);
+    if (reduces_[r].state == TaskState::kFrozen) reset_reduce_task(r);
   }
 
   // 2) Re-plan writes whose replica pipeline lost a target.
   for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
     ReduceTask& rt = reduces_[r];
     if (rt.write_blocked) {
-      RCMP_CHECK(rt.state == ReduceState::kWriting);
+      RCMP_CHECK(rt.in(Phase::kWriting));
       rt.write_blocked = false;
       start_reduce_write(r);
     }
@@ -1401,7 +1358,7 @@ JobRun::FailureOutcome JobRun::on_detected_failure(cluster::NodeId n) {
   //    needed by some unfetched contribution.
   for (std::uint32_t m = 0; m < maps_.size(); ++m) {
     MapTask& t = maps_[m];
-    if (t.state != MapState::kDone && t.state != MapState::kReused)
+    if (t.state != TaskState::kDone && t.state != TaskState::kReused)
       continue;
     const MapOutput* out = env_.map_outputs.find(t.key(spec_.logical_id));
     const bool output_ok =
@@ -1409,7 +1366,7 @@ JobRun::FailureOutcome JobRun::on_detected_failure(cluster::NodeId n) {
     if (output_ok) continue;
     bool needed = false;
     for (const auto& rt : reduces_) {
-      if (rt.state == ReduceState::kDone) continue;
+      if (rt.state == TaskState::kDone) continue;
       if (rt.contrib[m] != ContribState::kFetched) {
         needed = true;
         break;
@@ -1420,14 +1377,14 @@ JobRun::FailureOutcome JobRun::on_detected_failure(cluster::NodeId n) {
 
   // 4) Re-queue mappers frozen by the kill.
   for (std::uint32_t m = 0; m < maps_.size(); ++m) {
-    if (maps_[m].state == MapState::kFrozen) reset_map_task(m);
+    if (maps_[m].state == TaskState::kFrozen) reset_map_task(m);
   }
 
   // 5) Irreversible-loss assessment: every task that still has to run
   //    must be able to read its input; every committed partition must
   //    still be available.
   for (const MapTask& t : maps_) {
-    if (t.state == MapState::kDone || t.state == MapState::kReused)
+    if (t.state == TaskState::kDone || t.state == TaskState::kReused)
       continue;
     if (env_.dfs.alive_locations(t.block_id).empty()) {
       RCMP_WARN() << "t=" << env_.sim.now() << " job " << spec_.name
@@ -1482,9 +1439,9 @@ std::vector<cluster::NodeId> JobRun::serving_locations(
   return out;
 }
 
-bool JobRun::charge_attempt(std::uint32_t& attempts, SimTime& not_before) {
-  if (env_.detector == nullptr) return true;  // oracle mode: no budgets
-  ++attempts;
+void JobRun::charge_attempt(Task& t) {
+  if (env_.detector == nullptr) return;  // oracle mode: no budgets
+  const std::uint32_t attempts = ++t.attempts;
   // Always back off — even the exhausting attempt. If the caller's
   // escalation is deferred (or the job is replanned and the task
   // returns), the task must not spin hot in the scheduler.
@@ -1500,11 +1457,11 @@ bool JobRun::charge_attempt(std::uint32_t& attempts, SimTime& not_before) {
     const double draw = rng_.uniform(cfg_.retry_backoff_base, hi);
     delay += cfg_.retry_backoff_jitter * (draw - delay);
   }
-  not_before = env_.sim.now() + delay;
+  t.not_before = env_.sim.now() + delay;
   const std::uint32_t budget = env_.retry_budget
                                    ? env_.retry_budget(attempts)
                                    : cfg_.max_task_attempts;
-  return budget == 0 || attempts < budget;
+  if (budget != 0 && attempts >= budget) exhausted_retry_budget_ = true;
 }
 
 void JobRun::blame_node(cluster::NodeId n) {
@@ -1529,7 +1486,7 @@ void JobRun::halt_fetches_from(cluster::NodeId n) {
     if (it->second.src == n) {
       env_.net.cancel_flow(it->second.flow);
       ReduceTask& rt = reduces_[it->second.reducer];
-      if (rt.epoch == it->second.reducer_epoch) {
+      if (rt.run.id == it->second.attempt) {
         for (std::uint32_t m : it->second.mappers) {
           if (rt.contrib[m] == ContribState::kInflight)
             rt.contrib[m] = ContribState::kWaiting;
@@ -1545,7 +1502,7 @@ void JobRun::halt_fetches_from(cluster::NodeId n) {
   // to waiting; they re-buffer when the source serves again (or after a
   // mapper re-execution).
   for (auto& rt : reduces_) {
-    if (rt.state == ReduceState::kDone) continue;
+    if (rt.state == TaskState::kDone) continue;
     for (std::uint32_t m : rt.ready[n]) {
       if (rt.contrib[m] == ContribState::kReady)
         rt.contrib[m] = ContribState::kWaiting;
@@ -1578,21 +1535,21 @@ void JobRun::on_node_reconciled(cluster::NodeId n) {
   for (std::uint32_t m = 0; m < maps_.size(); ++m) {
     MapTask& t = maps_[m];
     if (!t.spurious) continue;
-    if (t.state == MapState::kDone || t.state == MapState::kReused) {
+    if (t.state == TaskState::kDone || t.state == TaskState::kReused) {
       t.spurious = false;  // replacement already committed; keep it
       continue;
     }
     const MapOutput* out = env_.map_outputs.find(t.key(spec_.logical_id));
     if (out == nullptr || out->lost || !source_serving(out->node)) continue;
     drop_backup(t.backup, SlotKind::kMap);
-    if (t.state == MapState::kPending) {
+    if (t.state == TaskState::kPending) {
       auto it = std::find(pending_maps_.begin(), pending_maps_.end(), m);
       if (it != pending_maps_.end()) pending_maps_.erase(it);
-    } else if (t.state != MapState::kFrozen) {  // frozen holds no slot
+    } else if (t.state != TaskState::kFrozen) {  // frozen holds no slot
       cancel_attempt_work(t.run);
       put_slot(SlotKind::kMap, t.run.node);
     }
-    t.state = t.executed ? MapState::kDone : MapState::kReused;
+    t.state = t.executed ? TaskState::kDone : TaskState::kReused;
     t.run = Attempt{};
     t.run.node = out->node;
     t.spurious = false;
@@ -1614,8 +1571,7 @@ void JobRun::on_source_unreachable(cluster::NodeId n) {
   // (or requeue with backoff if none serves right now).
   for (std::uint32_t m = 0; m < maps_.size(); ++m) {
     Attempt& a = maps_[m].run;
-    if (maps_[m].state == MapState::kRunning &&
-        a.phase == Phase::kReading && a.read_src == n) {
+    if (maps_[m].in(Phase::kReading) && a.read_src == n) {
       if (a.flow != res::kInvalidFlow) {
         env_.net.cancel_flow(a.flow);
         a.flow = res::kInvalidFlow;
@@ -1644,7 +1600,7 @@ void JobRun::on_source_reachable(cluster::NodeId n) {
   // Persisted outputs on n serve again: re-buffer waiting contributions.
   for (std::uint32_t m = 0; m < maps_.size(); ++m) {
     const MapTask& t = maps_[m];
-    if (t.state != MapState::kDone && t.state != MapState::kReused)
+    if (t.state != TaskState::kDone && t.state != TaskState::kReused)
       continue;
     const MapOutput* out = env_.map_outputs.find(t.key(spec_.logical_id));
     if (out != nullptr && !out->lost && out->node == n) {
@@ -1703,7 +1659,7 @@ void JobRun::handle_corrupt_map_output(std::uint32_t m) {
   // Two reducers can detect the same corrupt output; only the first
   // detection resets the mapper (and blames the node whose disk served
   // the corrupt bytes — the reset clears t.node).
-  if (t.state == MapState::kDone || t.state == MapState::kReused) {
+  if (t.state == TaskState::kDone || t.state == TaskState::kReused) {
     blame_node(t.run.node);
     reset_map_task(m);
   }
@@ -1717,7 +1673,7 @@ void JobRun::handle_corrupt_map_output(std::uint32_t m) {
 
 void JobRun::scrub_ready_contribs(std::uint32_t m) {
   for (auto& rt : reduces_) {
-    if (rt.state == ReduceState::kDone) continue;
+    if (rt.state == TaskState::kDone) continue;
     if (rt.contrib[m] != ContribState::kReady) continue;
     for (cluster::NodeId src = 0; src < env_.cluster.size(); ++src) {
       auto& list = rt.ready[src];
@@ -1739,15 +1695,6 @@ void JobRun::scrub_ready_contribs(std::uint32_t m) {
 // lifecycle
 // ---------------------------------------------------------------------
 
-void JobRun::cancel_task_work(ReduceTask& t) {
-  if (t.ev != sim::kInvalidEvent) {
-    env_.sim.cancel(t.ev);
-    t.ev = sim::kInvalidEvent;
-  }
-  for (res::FlowId f : t.write_flows) env_.net.cancel_flow(f);
-  t.write_flows.clear();
-}
-
 void JobRun::teardown_all_work() {
   if (bootstrap_ev_ != sim::kInvalidEvent) {
     env_.sim.cancel(bootstrap_ev_);
@@ -1763,9 +1710,7 @@ void JobRun::teardown_all_work() {
   }
   drop_backups();
   for (auto& t : maps_) cancel_attempt_work(t.run);
-  for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
-    cancel_task_work(reduces_[r]);
-  }
+  for (auto& rt : reduces_) cancel_attempt_work(rt.run);
   for (auto& [token, ff] : active_fetches_) env_.net.cancel_flow(ff.flow);
   active_fetches_.clear();
 }
@@ -1837,7 +1782,7 @@ void JobRun::finish(JobResult::Status status) {
   result_.mappers_reused = 0;
   for (std::uint32_t m = 0; m < maps_.size(); ++m) {
     const MapTask& t = maps_[m];
-    if (t.state == MapState::kReused) ++result_.mappers_reused;
+    if (t.state == TaskState::kReused) ++result_.mappers_reused;
     if (t.executed) {
       result_.map_timings.push_back(
           TaskTiming{true, m, t.run.node, t.start_time, t.end_time});
@@ -1845,9 +1790,9 @@ void JobRun::finish(JobResult::Status status) {
   }
   for (std::uint32_t r = 0; r < reduces_.size(); ++r) {
     const ReduceTask& rt = reduces_[r];
-    if (rt.state == ReduceState::kDone) {
+    if (rt.state == TaskState::kDone) {
       result_.reduce_timings.push_back(
-          TaskTiming{false, r, rt.node, rt.start_time, rt.end_time});
+          TaskTiming{false, r, rt.run.node, rt.start_time, rt.end_time});
     }
   }
   RCMP_INFO() << "t=" << env_.sim.now() << " job " << spec_.name

@@ -14,13 +14,14 @@
 // reuse rules allow, and reducers may be hash-split into finer tasks
 // (the paper's core contribution, §IV-B).
 //
-// Every task runs as attempts: one running attempt and, under
-// speculation, at most one backup racing it; the first to finish wins.
+// Every map and reduce task runs as attempts: one running attempt and,
+// under speculation, at most one backup racing it; the first to finish
+// wins.
 //
 // Ownership: the middleware (src/core) constructs one JobRun per
 // submission and keeps it alive until the simulation ends; JobRun
-// callbacks are guarded by attempt id (maps) or epoch (reducers) so
-// cancelled work can never resurrect.
+// callbacks are guarded by attempt id so cancelled work can never
+// resurrect.
 #pragma once
 
 #include <cstdint>
@@ -156,17 +157,19 @@ class JobRun {
  private:
   enum class RunState { kCreated, kRunning, kFinished, kCancelled };
 
-  enum class MapState : std::uint8_t {
+  enum class TaskState : std::uint8_t {
     kPending,  // waiting for a slot
     kRunning,  // the running attempt holds a slot (see Attempt::phase)
-    kDone,     // output registered in the MapOutputStore
-    kReused,   // persisted output from a previous run is used as-is
+    kDone,     // map: output registered; reduce: output committed
+    kReused,   // map only: persisted output from a previous run, as-is
     kFrozen,   // was running on a node that died; awaiting detection
   };
 
   /// Where an attempt is. A map attempt starts, reads its input block,
-  /// computes and writes its output. A reducer backup starts, pulls the
-  /// running attempt's fetched bytes (kReading) and computes.
+  /// computes and writes its output. A reducer's running attempt starts,
+  /// fetches its shuffle input (kReading), computes and writes its DFS
+  /// output. A reducer backup starts, pulls the running attempt's
+  /// fetched bytes (kReading) and computes.
   enum class Phase : std::uint8_t { kStarting, kReading, kComputing, kWriting };
 
   /// One execution of a task on one node, holding one slot there. A task
@@ -180,13 +183,36 @@ class JobRun {
     Phase phase = Phase::kStarting;
     res::FlowId flow = res::kInvalidFlow;
     sim::EventId ev = sim::kInvalidEvent;
-    double out_bytes = 0.0;  // map-output bytes (set at compute end)
+    /// Reducer output: one replica stream per target of the block being
+    /// written.
+    std::vector<res::FlowId> write_flows;
+    double out_bytes = 0.0;  // output bytes (set at compute end)
     /// Payload mode: UDF output staged between compute and the end of
     /// the map-output write.
     std::vector<std::vector<Record>> buckets;
   };
 
-  struct MapTask {
+  /// What map and reduce tasks share: the lifecycle state, the retry
+  /// accounting and the attempts.
+  struct Task {
+    TaskState state = TaskState::kPending;
+    // Detector-mode retry state (untouched without a detector).
+    std::uint32_t attempts = 0;  // re-queues charged to this task
+    SimTime not_before = 0.0;    // retry backoff gate
+    SimTime start_time = -1.0;
+    SimTime end_time = -1.0;
+    /// The running attempt. Once a map task is done (or reused) it keeps
+    /// the output's node and size.
+    Attempt run;
+    std::unique_ptr<Attempt> backup;  // speculative copy racing `run`
+
+    /// The running attempt is in phase `p`.
+    bool in(Phase p) const {
+      return state == TaskState::kRunning && run.phase == p;
+    }
+  };
+
+  struct MapTask : Task {
     dfs::FileId input_file = dfs::kInvalidFile;
     std::uint32_t input_index = 0;  // which of JobSpec::inputs
     std::uint32_t input_partition = 0;
@@ -195,23 +221,11 @@ class JobRun {
     Bytes input_bytes = 0;
     std::uint64_t input_layout_version = 0;
 
-    MapState state = MapState::kPending;
     bool executed = false;  // ran (at least once) in this run
-
-    // Detector-mode resilience state (untouched without a detector).
-    /// The task is being re-executed only because its intact persisted
-    /// output sits on a suspected/unreachable node; reconciliation can
-    /// cancel the re-execution and readopt the output.
+    /// Detector mode: the task is being re-executed only because its
+    /// intact persisted output sits on a suspected/unreachable node;
+    /// reconciliation can cancel the re-execution and readopt the output.
     bool spurious = false;
-    std::uint32_t attempts = 0;   // re-queues charged to this task
-    SimTime not_before = 0.0;     // retry backoff gate
-
-    SimTime start_time = -1.0;
-    SimTime end_time = -1.0;
-    /// The running attempt. Once the task is done (or reused) it keeps
-    /// the output's node and size.
-    Attempt run;
-    std::unique_ptr<Attempt> backup;  // speculative copy racing `run`
 
     /// Map-output identity: the partition coordinate encodes which
     /// input file the block belongs to (multi-input DAG jobs).
@@ -229,23 +243,12 @@ class JobRun {
     kFetched,   // bytes are on the reducer's node
   };
 
-  enum class ReduceState : std::uint8_t {
-    kUnassigned,  // waiting for a reduce slot
-    kStarting,    // slot held, start-up delay
-    kFetching,    // shuffle in progress
-    kComputing,   // sort/merge + reduce UDF delay
-    kWriting,     // DFS output pipeline
-    kDone,
-    kFrozen,  // node died; awaiting detection
-  };
-
-  struct ReduceTask {
+  /// A reducer backup races only the compute: it pulls the fetched bytes
+  /// from the running attempt's node and redoes the compute; first to
+  /// finish the compute wins.
+  struct ReduceTask : Task {
     std::uint32_t partition = 0;     // initial-granularity output partition
     std::uint32_t split_index = 0;   // 0 when split_factor == 1
-    ReduceState state = ReduceState::kUnassigned;
-    cluster::NodeId node = cluster::kInvalidNode;
-    std::uint32_t epoch = 0;
-    sim::EventId ev = sim::kInvalidEvent;
 
     std::vector<ContribState> contrib;  // one per map task
     std::uint32_t unfetched = 0;
@@ -264,30 +267,16 @@ class JobRun {
     std::vector<cluster::NodeId> flush_due;
 
     std::vector<Record> gathered;  // payload mode
-    double out_bytes = 0.0;
     std::vector<dfs::NameNode::PlannedBlock> planned;
     std::uint32_t next_block = 0;
-    std::vector<res::FlowId> write_flows;
     std::uint32_t outstanding_writes = 0;
     bool write_blocked = false;  // a replica target died mid-write
     std::vector<Record> out_records;
-
-    SimTime start_time = -1.0;
-    SimTime end_time = -1.0;
-
-    // Detector-mode resilience state (untouched without a detector).
-    std::uint32_t attempts = 0;  // re-queues charged to this task
-    SimTime not_before = 0.0;    // retry backoff gate
-
-    /// Speculative copy of a reducer stuck in its compute phase. It
-    /// pulls the fetched bytes from the running attempt's node and redoes
-    /// the compute; first to finish the compute wins.
-    std::unique_ptr<Attempt> backup;
   };
 
   struct FetchFlow {
     std::uint32_t reducer = 0;
-    std::uint32_t reducer_epoch = 0;
+    std::uint32_t attempt = 0;  // the reducer's running attempt id
     cluster::NodeId src = cluster::kInvalidNode;
     std::vector<std::uint32_t> mappers;
     /// Per-mapper share of `bytes`, parallel to `mappers` — needed when
@@ -308,15 +297,21 @@ class JobRun {
   void schedule_tasks();
   void schedule_maps();
   void schedule_reduces();
-  void assign_map(std::uint32_t m, cluster::NodeId n);
-  void assign_reduce(std::uint32_t r, cluster::NodeId n);
+  /// Detector mode: take the tasks whose retry-backoff gate is still
+  /// closed out of `pending` (they sit out this pass) and arm one poke
+  /// at the earliest gate expiry. Returns the deferred tasks.
+  std::vector<std::uint32_t> defer_backed_off(
+      SlotKind kind, std::vector<std::uint32_t>& pending);
+  void assign_task(SlotKind kind, std::uint32_t i, cluster::NodeId n);
 
   // --- attempts ----------------------------------------------------------
-  /// Take a `kind` slot on `n` and open a fresh attempt there.
-  Attempt open_attempt(SlotKind kind, cluster::NodeId n);
-  /// Task m's attempt with this id, or nullptr when it is stale.
-  Attempt* find_attempt(std::uint32_t m, std::uint32_t id);
-  /// Stop an attempt's event and flow and discard its staged output.
+  Task& task(SlotKind kind, std::uint32_t i);
+  /// Take a `kind` slot on `n`, open a fresh attempt of task i there and
+  /// schedule its start-up.
+  Attempt launch_attempt(SlotKind kind, std::uint32_t i, cluster::NodeId n);
+  /// The task's attempt with this id, or nullptr when it is stale.
+  Attempt* find_attempt(Task& t, std::uint32_t id);
+  /// Stop an attempt's event and flows and discard its staged output.
   void cancel_attempt_work(Attempt& a);
   /// Drop a backup (no-op when there is none), returning its slot.
   void drop_backup(std::unique_ptr<Attempt>& backup, SlotKind kind);
@@ -355,9 +350,6 @@ class JobRun {
   void speculation_check();
   /// Reducer speculation (EngineConfig::speculative_reducers).
   void speculate_reducers();
-  /// Advance reducer r's backup one phase: start-up, pull, compute (the
-  /// compute's end wins the race).
-  void reduce_backup_step(std::uint32_t r, std::uint32_t id);
 
   // --- shuffle ---------------------------------------------------------
   void mark_contrib_ready(std::uint32_t r, std::uint32_t m);
@@ -374,15 +366,21 @@ class JobRun {
   void cancel_fetches_of_reducer(std::uint32_t r);
 
   // --- reduce task state machine --------------------------------------
-  void reduce_startup_done(std::uint32_t r, std::uint32_t epoch);
+  // Start-up and compute serve the running attempt and the backup alike.
+  /// The running attempt starts fetching; a backup starts its pull.
+  void reduce_startup_done(std::uint32_t r, std::uint32_t id);
+  void reduce_pull_done(std::uint32_t r, std::uint32_t id);
   void maybe_start_reduce_compute(std::uint32_t r);
-  void reduce_compute_done(std::uint32_t r, std::uint32_t epoch);
-  /// Post-compute tail shared by the running attempt and a winning backup:
-  /// sort/merge + reduce UDF (payload mode), output sizing, DFS write.
+  /// Schedule attempt a's compute over the fetched bytes, plus `tail`.
+  void start_reduce_compute(std::uint32_t r, Attempt& a, SimTime tail);
+  /// The first attempt to finish its compute writes the output.
+  void reduce_compute_done(std::uint32_t r, std::uint32_t id);
+  /// Post-compute tail: sort/merge + reduce UDF (payload mode), output
+  /// sizing, DFS write.
   void finish_reduce_compute(std::uint32_t r);
   void start_reduce_write(std::uint32_t r);
-  void write_next_block(std::uint32_t r, std::uint32_t epoch);
-  void block_write_done(std::uint32_t r, std::uint32_t epoch);
+  void write_next_block(std::uint32_t r, std::uint32_t id);
+  void block_write_done(std::uint32_t r, std::uint32_t id);
   void reduce_done(std::uint32_t r);
   void reset_reduce_task(std::uint32_t r);
 
@@ -415,10 +413,10 @@ class JobRun {
   /// contributions (the fetch part of a disk loss, without the ledger
   /// effects) — used by suspicion and unreachability.
   void halt_fetches_from(cluster::NodeId n);
-  /// Charge one attempt and compute the retry backoff gate. Returns
-  /// false when the attempt budget is exhausted (caller escalates).
-  /// No-op (always true) without a detector.
-  bool charge_attempt(std::uint32_t& attempts, SimTime& not_before);
+  /// Charge one attempt and compute the retry backoff gate; a spent
+  /// attempt budget sets exhausted_retry_budget_ (the caller's recovery
+  /// path escalates). No-op without a detector.
+  void charge_attempt(Task& t);
   /// Charge a failed task attempt against `n`'s quarantine statistics.
   void blame_node(cluster::NodeId n);
   /// One pending wake-up for backoff-deferred tasks; keeps only the
@@ -434,7 +432,6 @@ class JobRun {
   void abort_data_loss();
   void teardown_all_work();
   void discard_partial_results();
-  void cancel_task_work(ReduceTask& t);
   void run_map_udf(std::uint32_t m, MapOutput& out) const;
 
   bool payload_mode() const;

@@ -38,6 +38,9 @@ struct ChecksumCase {
   std::vector<std::uint32_t> failures;
 };
 
+// Print the case by name, as for ConservationCase below.
+void PrintTo(const ChecksumCase& c, std::ostream* os) { *os << c.name; }
+
 class ChecksumInvariance : public ::testing::TestWithParam<ChecksumCase> {};
 
 TEST_P(ChecksumInvariance, FinalOutputMatchesFailureFreeReference) {
